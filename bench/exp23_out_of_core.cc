@@ -26,6 +26,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <random>
 #include <thread>
 #include <vector>
@@ -121,6 +122,11 @@ std::vector<std::vector<double>> MakeTargets(int count, uint64_t seed) {
     for (size_t j = 0; j < kDim; ++j) t[j] = unit(rng) * spectrum[j];
   }
   return targets;
+}
+
+// Column files go to the system temp directory (TMPDIR when set).
+std::string TempPath(const std::string& name) {
+  return (std::filesystem::temp_directory_path() / name).string();
 }
 
 double PeakRssBytes() {
@@ -257,8 +263,8 @@ void PrintTables() {
          std::to_string(cfg.pool_bytes / (1024 * 1024)) + " MB pool" +
          (cfg.smoke ? " [smoke]" : ""));
 
-  const std::string path = "/tmp/fuzzydb_e23.fzdb";
-  const std::string zipf_path = "/tmp/fuzzydb_e23_zipf.fzdb";
+  const std::string path = TempPath("fuzzydb_e23.fzdb");
+  const std::string zipf_path = TempPath("fuzzydb_e23_zipf.fzdb");
   const double ingest_s = StreamRows(path, cfg.n, cfg.page_bytes, kSeed);
   const double file_bytes =
       static_cast<double>(cfg.n) * kDim * sizeof(double);
@@ -404,7 +410,7 @@ struct BmFixture {
 BmFixture& SharedFixture() {
   static BmFixture* fx = [] {
     auto* f = new BmFixture();
-    f->path = "/tmp/fuzzydb_e23_bm.fzdb";
+    f->path = TempPath("fuzzydb_e23_bm.fzdb");
     StreamRows(f->path, 50'000, 64 * 1024, kSeed ^ 9);
     PagedStoreOptions options;
     options.pool_bytes = 4 * 1024 * 1024;  // smaller than the 12.8 MB file

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Build-and-test gate for local use and CI.
 #
-#   scripts/verify.sh [plain|asan|tsan|checks|lint|simd|all]
+#   scripts/verify.sh [plain|asan|tsan|checks|lint|simd|perfbench|all]
 #
 #   plain   Release build at CHECKIN warning level (-Werror), full ctest
 #           suite (the tier-1 gate).
@@ -38,13 +38,16 @@
 #           concurrency labels, then a FUZZYDB_SMOKE=1 pass of
 #           exp23_out_of_core (bounded-RSS paging end to end; warm int8
 #           queries asserted to read zero disk bytes inside the bench).
+#   perfbench  The repository benchmark's answer-checking self-tests
+#           (python3 perfbench/run.py --selftest): every workload on tiny
+#           inputs, each served answer compared with its serial reference.
 #   bench   Native-arch Release build; runs the perf-trajectory benches
 #           (exp16, exp18, exp19, exp21, exp22, exp23) so their BENCH_*.json land in the repo
 #           root. Not a gate: on a 1-hardware-thread host it warns loudly
 #           and the reports carry "contention_only": true — the guarded
 #           writer refuses to overwrite a multi-core report with one.
-#   all     plain + asan + tsan + checks + simd + server + storage + lint +
-#           analyze (default; bench is opt-in).
+#   all     plain + asan + tsan + checks + simd + server + storage +
+#           perfbench + lint + analyze (default; bench is opt-in).
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -117,6 +120,8 @@ case "${MODE}" in
     cmake --build build-asan -j "${JOBS}" --target exp23_out_of_core
     FUZZYDB_SMOKE=1 ./build-asan/bench/exp23_out_of_core \
       --benchmark_min_time=0.01 ;;
+  perfbench)
+    python3 perfbench/run.py --selftest ;;
   bench)
     HW="$(nproc 2>/dev/null || echo 1)"
     if [ "${HW}" -le 1 ]; then
@@ -149,10 +154,11 @@ case "${MODE}" in
     "$0" simd
     "$0" server
     "$0" storage
+    "$0" perfbench
     "$0" lint
     "$0" analyze ;;
   *)
-    echo "usage: $0 [plain|asan|tsan|checks|lint|analyze|simd|server|storage|bench|all]" >&2
+    echo "usage: $0 [plain|asan|tsan|checks|lint|analyze|simd|server|storage|perfbench|bench|all]" >&2
     exit 2 ;;
 esac
 

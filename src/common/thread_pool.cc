@@ -4,6 +4,20 @@
 
 namespace fuzzydb {
 
+namespace {
+
+// Polls `epoch` until it moves off `seen` or `deadline` passes, yielding
+// the CPU between polls so a spinning thread gives way to runnable ones.
+void SpinWhileUnchanged(const std::atomic<uint64_t>& epoch, uint64_t seen,
+                        std::chrono::steady_clock::time_point deadline) {
+  while (epoch.load(std::memory_order_relaxed) == seen &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+}  // namespace
+
 InlineExecutor* InlineExecutor::Get() {
   static InlineExecutor executor;
   return &executor;
@@ -24,6 +38,7 @@ void ThreadPool::Shutdown() {
   {
     MutexLock lock(mu_);
     stop_ = true;
+    Bump();
     job_cv_.NotifyAll();
   }
   // Idempotent for sequential callers: a joined thread is not joinable.
@@ -40,6 +55,7 @@ bool ThreadPool::TryPost(std::function<void()> task) {
     return false;
   }
   tasks_.push_back(std::move(task));
+  Bump();
   // Notify while still holding mu_: once TryPost returns true the caller may
   // observe the task's effect and destroy the pool, and a notify on a freed
   // condvar is use-after-free. Under the lock, the destructor's stop_ write
@@ -75,6 +91,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   job_next_ = 0;
   job_done_ = 0;
   ++job_id_;
+  Bump();
   job_cv_.NotifyAll();
   // The submitting thread is an executor too.
   while (job_next_ < job_n_) {
@@ -84,6 +101,13 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     lock.Lock();
     ++job_done_;
   }
+  const auto spin_until = std::chrono::steady_clock::now() + kSpinBeforeBlock;
+  while (job_done_ != job_n_ && std::chrono::steady_clock::now() < spin_until) {
+    const uint64_t seen = epoch_.load(std::memory_order_relaxed);
+    lock.Unlock();
+    SpinWhileUnchanged(epoch_, seen, spin_until);
+    lock.Lock();
+  }
   while (job_done_ != job_n_) done_cv_.Wait(mu_, lock);
   job_fn_ = nullptr;
   done_cv_.NotifyAll();  // wake both queued submitters and nobody else
@@ -92,7 +116,22 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 void ThreadPool::WorkerLoop() {
   MutexLock lock(mu_);
   uint64_t seen_job = 0;
+  // Only a worker coming off a ParallelFor job polls before it blocks: jobs
+  // come back to back, while a fire-and-forget task's submitter waits on
+  // nobody, so polling after a task would only burn a core.
+  bool after_job = false;
   while (true) {
+    const auto spin_until =
+        std::chrono::steady_clock::now() +
+        (after_job ? kSpinBeforeBlock : std::chrono::microseconds{0});
+    while (!(stop_ || !tasks_.empty() ||
+             (job_fn_ != nullptr && job_id_ != seen_job)) &&
+           std::chrono::steady_clock::now() < spin_until) {
+      const uint64_t seen = epoch_.load(std::memory_order_relaxed);
+      lock.Unlock();
+      SpinWhileUnchanged(epoch_, seen, spin_until);
+      lock.Lock();
+    }
     while (!(stop_ || !tasks_.empty() ||
              (job_fn_ != nullptr && job_id_ != seen_job))) {
       job_cv_.Wait(mu_, lock);
@@ -101,12 +140,14 @@ void ThreadPool::WorkerLoop() {
     // a submitter is waiting on the job, nobody waits on a queued task.
     if (job_fn_ != nullptr && job_id_ != seen_job) {
       seen_job = job_id_;
+      after_job = true;
       const std::function<void(size_t)>* fn = job_fn_;
       while (job_fn_ == fn && job_next_ < job_n_) {
         const size_t i = job_next_++;
         lock.Unlock();
         (*fn)(i);
         lock.Lock();
+        Bump();
         if (++job_done_ == job_n_) done_cv_.NotifyAll();
       }
       continue;
@@ -114,6 +155,7 @@ void ThreadPool::WorkerLoop() {
     if (!tasks_.empty()) {
       std::function<void()> task = std::move(tasks_.front());
       tasks_.pop_front();
+      after_job = false;
       lock.Unlock();
       task();
       lock.Lock();

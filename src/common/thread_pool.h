@@ -22,10 +22,20 @@
 //     migration to the annotated sync layer, provably lock-disciplined at
 //     compile time: every job/queue field is GUARDED_BY(mu_), so an access
 //     outside the lock is a -Wthread-safety error on Clang (DESIGN §3i).
+//   - A thread about to block — a worker that just finished its share of a
+//     ParallelFor job, a submitter waiting for the other executors — first
+//     polls for up to kSpinBeforeBlock, yielding its CPU between polls.
+//     Jobs arrive back to back (a query's shards, then the next query's),
+//     and waking a blocked thread can cost milliseconds on a virtualized
+//     host; that wake-up would stall the whole job. A worker that ran a
+//     fire-and-forget task blocks at once. The poll reads one atomic change
+//     counter as a hint only: every decision is re-made under the mutex.
 
 #ifndef FUZZYDB_COMMON_THREAD_POOL_H_
 #define FUZZYDB_COMMON_THREAD_POOL_H_
 
+#include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -111,7 +121,16 @@ class ThreadPool : public TaskExecutor {
   static size_t HardwareConcurrency();
 
  private:
+  // How long a thread polls for new work, or for its job to finish, before
+  // it blocks on a condition variable. Covers the gap between back-to-back
+  // jobs and the spread between a job's fastest and slowest shard.
+  static constexpr std::chrono::microseconds kSpinBeforeBlock{5000};
+
   void WorkerLoop();
+  // Marks a change a spinning thread may be polling for; call under mu_.
+  void Bump() REQUIRES(mu_) {
+    epoch_.fetch_add(1, std::memory_order_relaxed);
+  }
 
   mutable Mutex mu_;
   CondVar job_cv_;   // workers: a new job or task is ready
@@ -127,6 +146,10 @@ class ThreadPool : public TaskExecutor {
   std::deque<std::function<void()>> tasks_ GUARDED_BY(mu_);
   const size_t max_queued_tasks_;
   bool stop_ GUARDED_BY(mu_) = false;
+  // Bumped (under mu_) whenever a job or task is posted, a worker finishes
+  // an index, or stop_ is set. Read without the lock by spinning threads,
+  // which re-check the guarded state under mu_ once it moves.
+  std::atomic<uint64_t> epoch_{0};
   // Written only before the workers start and joined in the destructor;
   // never touched by a worker, so it needs no guard.
   std::vector<std::thread> workers_;

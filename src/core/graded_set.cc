@@ -5,11 +5,6 @@
 
 namespace fuzzydb {
 
-bool GradeDescending(const GradedObject& a, const GradedObject& b) {
-  if (a.grade != b.grade) return a.grade > b.grade;
-  return a.id < b.id;
-}
-
 Result<GradedSet> GradedSet::FromPairs(std::vector<GradedObject> pairs) {
   GradedSet out;
   out.items_.reserve(pairs.size());

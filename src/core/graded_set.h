@@ -33,7 +33,10 @@ struct GradedObject {
 
 /// Orders by grade descending, then id ascending (deterministic tie-break).
 /// This is the canonical "sorted access" order.
-bool GradeDescending(const GradedObject& a, const GradedObject& b);
+inline bool GradeDescending(const GradedObject& a, const GradedObject& b) {
+  if (a.grade != b.grade) return a.grade > b.grade;
+  return a.id < b.id;
+}
 
 /// A graded set over objects. Internally kept unsorted until asked; lookups
 /// by id are O(1).

@@ -32,12 +32,12 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/contract.h"
+#include "common/incremental_order.h"
 #include "common/squared_distance.h"
 #include "common/thread_pool.h"
 #include "image/quantized_store.h"
@@ -75,6 +75,10 @@ struct CascadeStats {
   size_t buffer_pool_hits = 0;
   size_t buffer_pool_misses = 0;
   size_t buffer_pool_evictions = 0;
+  /// Candidate bounds the walk's windowed selection put in final order
+  /// (DESIGN §3k): at most n, and near the refined count plus one window
+  /// per shard when the walk stops early.
+  size_t bounds_ordered = 0;
 
   /// Adds another shard's (or level's) counters into this one.
   void Absorb(const CascadeStats& other) {
@@ -90,6 +94,7 @@ struct CascadeStats {
     buffer_pool_hits += other.buffer_pool_hits;
     buffer_pool_misses += other.buffer_pool_misses;
     buffer_pool_evictions += other.buffer_pool_evictions;
+    bounds_ordered += other.bounds_ordered;
   }
 };
 
@@ -194,10 +199,10 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
   // false dismissals. In float mode the accumulator state is kept so
   // refinement can resume from the prefix without recomputing it.
   std::vector<SquaredDistanceAccumulator> prefix;
-  std::vector<double> bound(n);
+  std::vector<std::pair<double, size_t>> keyed(n);  // (bound, local index)
   if (qquery != nullptr) {
     for (size_t i = 0; i < n; ++i) {
-      bound[i] = qs->LowerBound2(*qquery, range.begin + i);
+      keyed[i] = {qs->LowerBound2(*qquery, range.begin + i), i};
     }
     stats->quantized_bound_computations += n;
     stats->bytes_scanned_quantized += n * qs->row_bytes();
@@ -207,19 +212,17 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
       const double* FUZZYDB_RESTRICT row = rows.Acquire(range.begin + i);
       if (row == nullptr) return false;
       prefix[i].Accumulate(row, t, 0, s0);
-      bound[i] = prefix[i].Total();
+      keyed[i] = {prefix[i].Total(), i};
     }
     stats->bound_computations += n;
     stats->bytes_scanned_prefix += n * s0 * sizeof(double);
   }
 
-  // Visit candidates in ascending (bound, index) order.
-  std::vector<size_t> order(n);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::sort(order.begin(), order.end(), [&bound](size_t a, size_t b) {
-    if (bound[a] != bound[b]) return bound[a] < bound[b];
-    return a < b;
-  });
+  // Visit candidates in ascending (bound, index) order. The walk stops
+  // after a short prefix, so the order is selected window by window rather
+  // than fully sorted; (bound, index) is a strict total order, so the
+  // visits are exactly the full sort's.
+  IncrementalOrder<std::pair<double, size_t>> order(std::move(keyed));
 
   // Current k best as (d^2, global index); "worst" is the lexicographic
   // maximum, matching ExactKnn's tie-break (distance ascending, then index).
@@ -232,8 +235,8 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     }
   };
 
-  for (size_t local_idx : order) {
-    const double b = bound[local_idx];
+  for (size_t pos = 0; pos < n; ++pos) {
+    const auto [b, local_idx] = order.At(pos);
     // Strict >: a candidate whose bound ties the worst d^2 could still win
     // its tie on index, so only a strictly larger bound ends the scan.
     if (best->size() == k && b > (*best)[worst_pos].first) break;
@@ -303,6 +306,7 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
       recompute_worst();
     }
   }
+  stats->bounds_ordered += order.ordered();
   return true;
 }
 

@@ -40,18 +40,6 @@ Result<Submission> QueryServer::Submit(QueryPtr query, size_t k,
     if (changed) InvalidateCache();
   }
 
-  // Resolve every atom now: fail fast on unknown attributes, and size the
-  // plan from the widest list.
-  std::vector<const Query*> atoms;
-  query->CollectAtoms(&atoms);
-  if (atoms.empty()) return Status::InvalidArgument("query has no atoms");
-  size_t n = 0;
-  for (const Query* atom : atoms) {
-    Result<GradedSource*> src = resolver(*atom);
-    if (!src.ok()) return src.status();
-    n = std::max(n, (*src)->Size());
-  }
-
   const std::string key = CanonicalKey(query) + "|k=" + std::to_string(k);
   // Stamped before any store read: a concurrent InvalidateCache makes this
   // version stale, so whatever this query computes can no longer be cached.
@@ -71,6 +59,19 @@ Result<Submission> QueryServer::Submit(QueryPtr query, size_t k,
       ++stats_.served_from_cache;
     }
     return Submission{std::move(ticket), nullptr};
+  }
+
+  // Only a query that runs resolves its atoms: resolving may build a
+  // source (a full grading pass), which a cached result never reads. Fail
+  // fast on unknown attributes, and size the plan from the widest list.
+  std::vector<const Query*> atoms;
+  query->CollectAtoms(&atoms);
+  if (atoms.empty()) return Status::InvalidArgument("query has no atoms");
+  size_t n = 0;
+  for (const Query* atom : atoms) {
+    Result<GradedSource*> src = resolver(*atom);
+    if (!src.ok()) return src.status();
+    n = std::max(n, (*src)->Size());
   }
 
   PlanChoice plan;

@@ -141,7 +141,8 @@ class QueryServer {
 
   /// Plans, admits, and dispatches `query` for its top-k answers.
   /// `resolver` (and every source it returns) must stay valid until the
-  /// ticket completes. Errors are all pre-execution:
+  /// ticket completes. A query served from the result cache never calls
+  /// `resolver`. Errors are all pre-execution:
   ///   - InvalidArgument: null query / no atoms / unresolvable atom;
   ///   - ResourceExhausted "admission": estimated cost over the limit;
   ///   - ResourceExhausted "queue full": TryPost refused — explicit

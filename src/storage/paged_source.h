@@ -1,14 +1,17 @@
 // A color-similarity GradedSource over the paged embedding store — the
 // middleware's view of an out-of-core collection (DESIGN §3k).
 //
-// Honest accounting of what pages and what does not: grades are 8 bytes
-// per object and are materialized at construction, exactly like
-// QbicColorSource — it is the embedding *rows* (stride * 8 bytes each,
-// ~64x larger) that stay on disk and stream through the buffer pool during
-// the one grading pass. After construction the source serves sorted and
-// random access from RAM, so middleware runs (TA/NRA/CA) over a paged
-// collection cost what they cost over a RAM collection; the disk was paid
-// once, sequentially, at source-build time.
+// What pages and what does not: construction streams every embedding row
+// (stride * 8 bytes, ~64x a grade) through the buffer pool once, in one
+// sequential pass on the calling thread, and keeps one 8-byte grade per
+// object. From
+// then on the shared ScanGradedSource serves the grades from RAM: random
+// access is a flat array lookup, and sorted and filter access order the
+// list only as far as they read it, one selected window at a time. So
+// middleware runs (TA/NRA/CA) over a paged collection cost what they cost
+// over a RAM collection; the disk was paid once, at source-build time, and
+// an A0 or TA run that stops after a few thousand sorted accesses never
+// pays to sort the other rows.
 //
 // Grade arithmetic is shared with QbicColorSource (GradeFromDistance over
 // BatchDistances output), so a paged source over the same rows produces
@@ -19,11 +22,10 @@
 #define FUZZYDB_STORAGE_PAGED_SOURCE_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
-#include "middleware/source.h"
+#include "middleware/scan_source.h"
 #include "storage/paged_store.h"
 
 namespace fuzzydb {
@@ -32,14 +34,13 @@ namespace storage {
 /// Color-similarity source backed by a PagedEmbeddingStore:
 /// grade(x) = 1 - d(x, target)/d_max, d the eigen-space (= quadratic-form)
 /// distance.
-class PagedColorSource final : public GradedSource {
+class PagedColorSource final : public ScanGradedSource {
  public:
   /// Grades every row of `store` against `target_embedding` (a full-dim
   /// embedding from QuadraticFormDistance::Embed) in one sequential paged
   /// pass. `ids` maps row -> ObjectId; empty means identity (row i is
-  /// object i), which also keeps random access a flat array lookup instead
-  /// of a hash map — the only choice that scales to out-of-core N.
-  /// `store` must outlive the source.
+  /// object i), which keeps random access a flat array lookup instead of a
+  /// hash map — the only choice that scales to out-of-core N.
   static Result<PagedColorSource> Create(const PagedEmbeddingStore* store,
                                          std::span<const double>
                                              target_embedding,
@@ -47,23 +48,8 @@ class PagedColorSource final : public GradedSource {
                                          std::string label = "Color(paged)",
                                          std::vector<ObjectId> ids = {});
 
-  size_t Size() const override { return sorted_.size(); }
-  std::optional<GradedObject> NextSorted() override;
-  void RestartSorted() override { cursor_ = 0; }
-  double RandomAccess(ObjectId id) override;
-  std::vector<GradedObject> AtLeast(double threshold) override;
-  std::string name() const override { return label_; }
-
  private:
-  PagedColorSource() = default;
-
-  std::vector<GradedObject> sorted_;
-  /// Identity-id mode: grade of object i at index i. Mapped mode: empty.
-  std::vector<double> grades_by_row_;
-  /// Mapped mode (explicit ids): the usual hash lookup.
-  std::unordered_map<ObjectId, double> grades_;
-  size_t cursor_ = 0;
-  std::string label_;
+  using ScanGradedSource::ScanGradedSource;
 };
 
 }  // namespace storage

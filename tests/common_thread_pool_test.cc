@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
@@ -116,6 +117,32 @@ TEST(ThreadPoolTest, ManySmallJobsBackToBack) {
     pool.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
   }
   EXPECT_EQ(total.load(), 200u * 8u);
+}
+
+TEST(ThreadPoolTest, JobsCompleteAcrossTheBlockingPath) {
+  // A waiting thread polls for a few milliseconds, then blocks on a
+  // condition variable. A shard that outlasts the poll sends its submitter
+  // down the blocking path, and a pause between jobs sends idle workers
+  // down it; every index must still run exactly once, and a task posted to
+  // workers that have gone to sleep must still run.
+  ThreadPool pool(3);
+  const std::thread::id submitter = std::this_thread::get_id();
+  for (int job = 0; job < 3; ++job) {
+    std::vector<std::atomic<int>> hits(6);
+    pool.ParallelFor(hits.size(), [&](size_t i) {
+      if (std::this_thread::get_id() != submitter) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      hits[i].fetch_add(1);
+    });
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "job " << job << " i " << i;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  Latch ran(1);
+  ASSERT_TRUE(pool.TryPost([&] { ran.CountDown(); }));
+  ran.Wait();
 }
 
 TEST(ThreadPoolTest, ConcurrentSubmittersSerializeAndAllComplete) {

@@ -10,9 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "image/bounding.h"
 #include "image/image_store.h"
+#include "tests/full_sort_cascade.h"
 
 namespace fuzzydb {
 namespace {
@@ -311,6 +314,54 @@ TEST(CascadeDegenerateTest, ClusteredPaletteCollapsesDistancesButStaysExact) {
     for (size_t i = 0; i < exact.size(); ++i) {
       EXPECT_EQ(cascade[i].first, exact[i].first) << "rank " << i;
       EXPECT_EQ(cascade[i].second, exact[i].second) << "rank " << i;
+    }
+  }
+}
+
+// Rows with a decaying spectrum, like eigen-space embeddings: the leading
+// dimensions carry most of each distance, so prefix bounds are tight.
+EmbeddingStore DecayingStore(size_t n, size_t dim, uint64_t seed) {
+  EmbeddingStore store(n, dim);
+  Rng rng(seed);
+  for (size_t i = 0; i < n; ++i) {
+    std::span<double> row = store.MutableRow(i);
+    double scale = 1.0;
+    for (size_t j = 0; j < dim; ++j, scale *= 0.85) {
+      row[j] = scale * rng.NextGaussian();
+    }
+  }
+  store.BuildQuantized();
+  return store;
+}
+
+TEST(CascadeSelectionTest, OrdersAShortPrefixAndKeepsFullSortStats) {
+  constexpr size_t kN = 100000;
+  constexpr size_t kK = 10;
+  const EmbeddingStore store = DecayingStore(kN, 32, 2027);
+  const auto row = [&store](size_t i) { return store.Row(i).data(); };
+  Rng rng(7);
+  for (int q = 0; q < 3; ++q) {
+    std::span<const double> near = store.Row(rng.NextBounded(kN));
+    std::vector<double> target(near.begin(), near.end());
+    for (double& x : target) x += 0.05 * rng.NextGaussian();
+    const std::vector<std::pair<size_t, double>> exact =
+        store.ExactKnn(target, kK);
+    for (bool quantized : {true, false}) {
+      for (size_t shards : {size_t{1}, size_t{4}}) {
+        CascadeOptions options;
+        options.use_quantized = quantized;
+        CascadeStats stats;
+        const std::vector<std::pair<size_t, double>> got =
+            store.CascadeKnn(target, kK, options, &stats, nullptr, shards);
+        ASSERT_EQ(got, exact) << "shards " << shards;
+        testing_oracle::ExpectWalkFieldsEqual(
+            stats, testing_oracle::FullSortStats(
+                       row, kN, target, kK, options,
+                       quantized ? &store.quantized() : nullptr, shards));
+        // Every visited candidate was ordered; nearly nothing else was.
+        EXPECT_GE(stats.bounds_ordered, stats.candidates_refined);
+        EXPECT_LE(stats.bounds_ordered * 10, kN) << "shards " << shards;
+      }
     }
   }
 }

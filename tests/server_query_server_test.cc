@@ -423,6 +423,38 @@ TEST_F(QueryServerTest, ResultCacheServesRepeatBitwise) {
   EXPECT_GE(server.cache_stats().hits, 1u);
 }
 
+TEST_F(QueryServerTest, ResultCacheHitNeverResolvesAtoms) {
+  // Resolving an atom may build its source (a full grading pass); a query
+  // answered from the result cache must not pay for that.
+  QueryServer server;  // inline, cache on
+  QueryPtr query =
+      Query::And({Query::Atomic("A", "t"), Query::Atomic("B", "t")});
+  QueryCtx ctx = MakeCtx(smooth_);
+  size_t calls = 0;
+  SourceResolver counting = [&calls, &ctx](const Query& atom) {
+    ++calls;
+    return ctx.resolver(atom);
+  };
+
+  Result<Submission> first = server.Submit(query, 5, counting);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(first->ticket->Wait().status.ok());
+  EXPECT_FALSE(first->ticket->Wait().from_cache);
+  EXPECT_GT(calls, 0u);
+
+  calls = 0;
+  Result<Submission> second = server.Submit(query, 5, counting);
+  ASSERT_TRUE(second.ok());
+  EXPECT_TRUE(second->ticket->Wait().from_cache);
+  EXPECT_EQ(calls, 0u);
+
+  // A miss still resolves, and still fails fast on an unknown attribute.
+  QueryPtr unknown = Query::Atomic("Nope", "t");
+  EXPECT_EQ(server.Submit(unknown, 5, counting).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(calls, 1u);
+}
+
 TEST_F(QueryServerTest, InvalidSubmissionsFailFast) {
   QueryServer server;
   QueryCtx ctx = MakeCtx(smooth_);

@@ -22,6 +22,7 @@
 #include "image/image_store.h"
 #include "storage/column_file.h"
 #include "storage/ingest.h"
+#include "tests/full_sort_cascade.h"
 
 namespace fuzzydb {
 namespace storage {
@@ -220,6 +221,65 @@ TEST(PagedStoreTest, QuantizedTierCanBeDisabledAtOpen) {
   ASSERT_TRUE(cascade.ok());
   EXPECT_EQ(*exact, *cascade);
   std::remove(fx.path.c_str());
+}
+
+TEST(PagedStoreTest, WindowedSelectionKeepsFullSortStats) {
+  // 10^5 rows with a decaying spectrum behind a pool ~6x smaller than the
+  // file. A top-10 walk orders a short prefix of each shard's candidates,
+  // and every walk counter equals the fully sorted walk's.
+  constexpr size_t kN = 100000;
+  constexpr size_t kDim = 32;
+  constexpr size_t kK = 10;
+  const std::string path = TestPath("selection");
+  {
+    Result<std::unique_ptr<ColumnFileWriter>> writer =
+        ColumnFileWriter::Create(path, kDim);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    Rng rng(2027);
+    std::vector<double> row(kDim);
+    for (size_t i = 0; i < kN; ++i) {
+      double scale = 1.0;
+      for (size_t j = 0; j < kDim; ++j, scale *= 0.85) {
+        row[j] = scale * rng.NextGaussian();
+      }
+      ASSERT_TRUE((*writer)->AppendRow(row).ok());
+    }
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  PagedStoreOptions store_options;
+  store_options.pool_bytes = 4ull * 1024 * 1024;
+  Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+      PagedEmbeddingStore::Open(path, store_options);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  Result<EmbeddingStore> ram = (*paged)->LoadToMemory();
+  ASSERT_TRUE(ram.ok());
+  const auto row = [&ram](size_t i) { return ram->Row(i).data(); };
+
+  Rng rng(7);
+  for (int q = 0; q < 2; ++q) {
+    std::span<const double> near = ram->Row(rng.NextBounded(kN));
+    std::vector<double> target(near.begin(), near.end());
+    for (double& x : target) x += 0.05 * rng.NextGaussian();
+    for (bool quantized : {true, false}) {
+      for (size_t shards : {size_t{1}, size_t{4}}) {
+        CascadeOptions options;
+        options.use_quantized = quantized;
+        CascadeStats stats;
+        Result<std::vector<std::pair<size_t, double>>> got =
+            (*paged)->CascadeKnn(target, kK, options, &stats, nullptr, shards);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        EXPECT_EQ(*got, ram->ExactKnn(target, kK));
+        testing_oracle::ExpectWalkFieldsEqual(
+            stats, testing_oracle::FullSortStats(
+                       row, kN, target, kK, options,
+                       quantized ? &ram->quantized() : nullptr, shards));
+        EXPECT_GE(stats.bounds_ordered, stats.candidates_refined);
+        EXPECT_LE(stats.bounds_ordered * 10, kN) << "shards " << shards;
+      }
+    }
+  }
+  (*paged)->Close();
+  std::remove(path.c_str());
 }
 
 }  // namespace
