@@ -342,15 +342,25 @@ void PrintTables() {
   const double int8_level_bytes = per_query(int8_stats.bytes_scanned_quantized);
   const double bytes_reduction = float_scan_bytes / int8_level_bytes;
 
-  TablePrinter qtable({"config", "us/query", "int8 B/query", "prefix B/query",
+  // The kernel's own phase split (CascadeStats scan/select/refine), in
+  // us/query like the wall-clock column.
+  auto phase_us = [](double ms) {
+    return TablePrinter::Num(1000.0 * ms / kQueries, 3);
+  };
+  TablePrinter qtable({"config", "us/query", "scan us/q", "select us/q",
+                       "refine us/q", "int8 B/query", "prefix B/query",
                        "refine B/query", "mismatches"});
   qtable.AddRow({"cascade, float levels only",
-                 TablePrinter::Num(us_float_cascade, 4), "0",
+                 TablePrinter::Num(us_float_cascade, 4),
+                 phase_us(float_stats.scan_ms), phase_us(float_stats.select_ms),
+                 phase_us(float_stats.refine_ms), "0",
                  TablePrinter::Num(per_query(float_stats.bytes_scanned_prefix), 1),
                  TablePrinter::Num(per_query(float_stats.bytes_scanned_refine), 1),
                  std::to_string(float_mm)});
   qtable.AddRow({"cascade, int8 level -1 on",
                  TablePrinter::Num(us_int8_cascade, 4),
+                 phase_us(int8_stats.scan_ms), phase_us(int8_stats.select_ms),
+                 phase_us(int8_stats.refine_ms),
                  TablePrinter::Num(int8_level_bytes, 1),
                  TablePrinter::Num(per_query(int8_stats.bytes_scanned_prefix), 1),
                  TablePrinter::Num(per_query(int8_stats.bytes_scanned_refine), 1),
@@ -411,6 +421,11 @@ void PrintTables() {
   json.Set("cascade_float.bytes_refine_per_query",
            per_query(float_stats.bytes_scanned_refine));
   json.Set("cascade_float.mismatches", float_mm);
+  json.Set("cascade_float.scan_ms_per_query", float_stats.scan_ms / kQueries);
+  json.Set("cascade_float.select_ms_per_query",
+           float_stats.select_ms / kQueries);
+  json.Set("cascade_float.refine_ms_per_query",
+           float_stats.refine_ms / kQueries);
   json.Set("qcascade.us_per_query", us_int8_cascade);
   json.Set("qcascade.bytes_quantized_per_query", int8_level_bytes);
   json.Set("qcascade.bytes_prefix_per_query",
@@ -422,6 +437,9 @@ void PrintTables() {
   json.Set("qcascade.float_bounds_per_query",
            per_query(int8_stats.bound_computations));
   json.Set("qcascade.mismatches", int8_mm);
+  json.Set("qcascade.scan_ms_per_query", int8_stats.scan_ms / kQueries);
+  json.Set("qcascade.select_ms_per_query", int8_stats.select_ms / kQueries);
+  json.Set("qcascade.refine_ms_per_query", int8_stats.refine_ms / kQueries);
   // Storage-tier counters (DESIGN §3k): this experiment runs over the
   // RAM-resident store, so they must all be zero — the nonzero story is
   // E23's (BENCH_storage.json). Stamped here so the trajectory shows the

@@ -44,6 +44,15 @@
 namespace fuzzydb {
 namespace {
 
+// "q<i>", built by appending: GCC 12 at -O3 -march=native reports a false
+// -Wrestrict overlap inside `"q" + std::to_string(i)` (its operator+ for a
+// literal and a temporary inserts at the front), which -Werror rejects.
+std::string UniqueKey(size_t i) {
+  std::string key = "q";
+  key += std::to_string(i);
+  return key;
+}
+
 constexpr uint64_t kSeed = 20260807;
 constexpr size_t kM = 3;
 const size_t kColdKs[] = {3, 5, 8, 10};
@@ -237,7 +246,7 @@ CellResult RunCell(size_t mix, const Workload& w, size_t pool_executors,
     // k); the rest are unique keys that must execute.
     const bool hot = (i % 10) < 3;
     const size_t k_index = hot ? 1 : i % 4;  // kColdKs[1] == kHotK
-    const std::string target = hot ? "hot" : "q" + std::to_string(i);
+    const std::string target = hot ? "hot" : UniqueKey(i);
     ctxs.push_back(std::make_unique<QueryCtx>(MakeCtx(w, mix % 4 == 3)));
     prepared.push_back({MixQuery(mix, target), k_index});
   }
@@ -480,7 +489,7 @@ void BM_ServerBurst(benchmark::State& state) {
     for (size_t i = 0; i < kBurst; ++i) {
       ctxs.push_back(std::make_unique<QueryCtx>(MakeCtx(w, i % 4 == 3)));
       Result<Submission> sub =
-          server.Submit(MixQuery(i, "q" + std::to_string(i)), 5,
+          server.Submit(MixQuery(i, UniqueKey(i)), 5,
                         ctxs.back()->resolver);
       if (sub.ok()) tickets.push_back(sub->ticket);
     }

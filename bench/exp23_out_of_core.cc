@@ -179,6 +179,8 @@ std::vector<QueryPoint> RunQueries(const PagedEmbeddingStore& store,
 
 struct Aggregate {
   double cold_ms = 0, warm_ms = 0;
+  // The warm query's phase split, from the kernel's own clocks.
+  double warm_scan_ms = 0, warm_select_ms = 0, warm_refine_ms = 0;
   double cold_disk_bytes = 0, warm_disk_bytes = 0;
   double cold_hits = 0, cold_misses = 0, warm_hits = 0, warm_misses = 0;
   double warm_evictions = 0;
@@ -190,6 +192,9 @@ Aggregate Summarize(const std::vector<QueryPoint>& points) {
   for (const QueryPoint& p : points) {
     agg.cold_ms += p.cold_ms / q;
     agg.warm_ms += p.warm_ms / q;
+    agg.warm_scan_ms += p.warm.scan_ms / q;
+    agg.warm_select_ms += p.warm.select_ms / q;
+    agg.warm_refine_ms += p.warm.refine_ms / q;
     agg.cold_disk_bytes += static_cast<double>(p.cold.bytes_read_disk) / q;
     agg.warm_disk_bytes += static_cast<double>(p.warm.bytes_read_disk) / q;
     agg.cold_hits += static_cast<double>(p.cold.buffer_pool_hits) / q;
@@ -285,6 +290,10 @@ void PrintTables() {
 
   const std::vector<QueryPoint> int8_points =
       RunQueries(*store, int8_targets, /*use_quantized=*/true);
+  // Peak residency through the int8 queries, before the float-only run
+  // fills the pool: the RAM-resident tier plus whatever the queries
+  // themselves allocate (per-shard selection scratch is O(window)).
+  const double int8_rss = PeakRssBytes();
   const std::vector<QueryPoint> float_points =
       RunQueries(*store, float_targets, /*use_quantized=*/false);
   const Aggregate int8 = Summarize(int8_points);
@@ -300,22 +309,21 @@ void PrintTables() {
     }
   }
 
-  TablePrinter table({"mode", "cold ms/q", "warm ms/q", "cold disk MB/q",
+  TablePrinter table({"mode", "cold ms/q", "warm ms/q", "warm scan ms",
+                      "warm select ms", "warm refine ms", "cold disk MB/q",
                       "warm disk B/q", "warm pool hit-rate"});
-  table.AddRow({"cascade, int8 level -1 on",
-                TablePrinter::Num(int8.cold_ms, 2),
-                TablePrinter::Num(int8.warm_ms, 2),
-                TablePrinter::Num(int8.cold_disk_bytes / 1e6, 3),
-                TablePrinter::Num(int8.warm_disk_bytes, 0),
-                TablePrinter::Num(HitRate(int8.warm_hits, int8.warm_misses),
-                                  4)});
-  table.AddRow({"cascade, float levels only",
-                TablePrinter::Num(flt.cold_ms, 2),
-                TablePrinter::Num(flt.warm_ms, 2),
-                TablePrinter::Num(flt.cold_disk_bytes / 1e6, 3),
-                TablePrinter::Num(flt.warm_disk_bytes, 0),
-                TablePrinter::Num(HitRate(flt.warm_hits, flt.warm_misses),
-                                  4)});
+  auto add_row = [&table](const std::string& mode, const Aggregate& a) {
+    table.AddRow({mode, TablePrinter::Num(a.cold_ms, 2),
+                  TablePrinter::Num(a.warm_ms, 2),
+                  TablePrinter::Num(a.warm_scan_ms, 2),
+                  TablePrinter::Num(a.warm_select_ms, 3),
+                  TablePrinter::Num(a.warm_refine_ms, 2),
+                  TablePrinter::Num(a.cold_disk_bytes / 1e6, 3),
+                  TablePrinter::Num(a.warm_disk_bytes, 0),
+                  TablePrinter::Num(HitRate(a.warm_hits, a.warm_misses), 4)});
+  };
+  add_row("cascade, int8 level -1 on", int8);
+  add_row("cascade, float levels only", flt);
   table.Print();
   std::cout << "Expectation: the int8 run's disk traffic is survivor pages "
                "only (warm = 0 bytes, asserted above); the float-only run "
@@ -323,7 +331,15 @@ void PrintTables() {
                "the tier placement, measured.\n";
 
   const double rss = PeakRssBytes();
-  std::cout << "peak RSS " << TablePrinter::Num(rss / 1e9, 3) << " GB vs "
+  std::cout << "peak RSS through the int8 queries "
+            << TablePrinter::Num(int8_rss / 1e9, 3) << " GB (int8 tier "
+            << TablePrinter::Num(
+                   static_cast<double>(cfg.n) *
+                       static_cast<double>(store->quantized().row_bytes()) /
+                       1e9,
+                   3)
+            << " GB); overall peak RSS " << TablePrinter::Num(rss / 1e9, 3)
+            << " GB vs "
             << TablePrinter::Num(file_bytes / 1e9, 3)
             << " GB of rows on disk.\n";
   if (!cfg.smoke && rss >= file_bytes) {
@@ -366,6 +382,9 @@ void PrintTables() {
     json.Set(prefix + ".warm_pool_hit_rate",
              HitRate(a.warm_hits, a.warm_misses));
     json.Set(prefix + ".warm_pool_evictions_per_query", a.warm_evictions);
+    json.Set(prefix + ".warm_scan_ms_per_query", a.warm_scan_ms);
+    json.Set(prefix + ".warm_select_ms_per_query", a.warm_select_ms);
+    json.Set(prefix + ".warm_refine_ms_per_query", a.warm_refine_ms);
   };
   stamp("int8_cascade", int8);
   stamp("float_cascade", flt);
@@ -382,6 +401,7 @@ void PrintTables() {
   json.Set("int8_cascade.bytes_prefix_per_query", bp);
   json.Set("int8_cascade.bytes_refine_per_query", br);
   json.Set("rss.peak_bytes", rss);
+  json.Set("rss.peak_after_int8_queries_bytes", int8_rss);
   json.Set("rss.peak_over_file", rss / file_bytes);
   for (const ZipfPoint& p : curve) {
     const std::string prefix =

@@ -62,6 +62,21 @@ constexpr int kInt8CodeMax = 63;
 using BlockSsdFn = void (*)(const int8_t* x, const int8_t* y, size_t n,
                             int32_t* out);
 
+/// Most blocks per row the batched kernels accept (sizes their stack copy
+/// of the query): 64 blocks = 1024 dimensions.
+constexpr size_t kMaxBlocks = 64;
+
+/// Batched blockwise sums over `rows` consecutive rows of `n` codes each
+/// (x row-major), every row against the one query y:
+/// out[r * (n / kBlockDim) + b] = the BlockSsdFn sum of row r's block b.
+/// Each kernel copies (and, for VNNI, widens) y once per call and reduces
+/// eight blocks' partial sums together, so one call over many rows costs
+/// far less per row than one BlockSsdFn call each. The sums are the same
+/// exact int32 values, so every Level is bit-identical to the scalar one.
+/// n must be at most kMaxBlocks * kBlockDim.
+using BlockSsdRowsFn = void (*)(const int8_t* x, const int8_t* y, size_t n,
+                                size_t rows, int32_t* out);
+
 /// The widest level this CPU supports (CPUID; kScalar on non-x86 builds).
 Level Detect();
 
@@ -72,6 +87,9 @@ Level Active();
 /// Kernel for an explicit level — for the bit-identity tests and the forced
 /// CI legs. `level` must not exceed Detect() or the call may fault.
 BlockSsdFn ResolveBlockSsd(Level level);
+
+/// Batched kernel for an explicit level; same caveat as ResolveBlockSsd.
+BlockSsdRowsFn ResolveBlockSsdRows(Level level);
 
 /// The production kernel: ResolveBlockSsd(Active()), cached.
 BlockSsdFn ActiveBlockSsd();

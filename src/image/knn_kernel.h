@@ -22,6 +22,12 @@
 // two stores can only come from the bytes of the rows themselves, which the
 // column-file format preserves exactly (doubles are written verbatim).
 //
+// The cascade's level scan and candidate selection are one streaming pass
+// per shard: batched int8 bounds (QuantizedStore::LowerBounds2, one small
+// on-stack block at a time) or float prefixes feed a CandidateWindow that
+// keeps only the next W to 2W (bound, index) pairs in walk order, so
+// per-shard scratch is O(W), independent of the shard's size.
+//
 // One accessor instance is used per shard, by one thread; accessors
 // themselves need no synchronization (the buffer pool underneath the paged
 // accessor is thread-safe).
@@ -30,8 +36,10 @@
 #define FUZZYDB_IMAGE_KNN_KERNEL_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -50,6 +58,9 @@ struct CascadeStats {
   size_t quantized_bound_computations = 0;
   /// Float prefix-bound evaluations: one per stored object when the
   /// quantized tier is off, one per surviving candidate when it is on.
+  /// With the tier off, refinement re-reads each visited candidate's s0-dim
+  /// prefix rather than keeping the scan's sums (O(window) scratch, not
+  /// O(n)); that re-read is not counted here nor in bytes_scanned_prefix.
   size_t bound_computations = 0;
   /// Candidates refined past the level-0 prefix bound.
   size_t candidates_refined = 0;
@@ -75,10 +86,22 @@ struct CascadeStats {
   size_t buffer_pool_hits = 0;
   size_t buffer_pool_misses = 0;
   size_t buffer_pool_evictions = 0;
-  /// Candidate bounds the walk's windowed selection put in final order
-  /// (DESIGN §3k): at most n, and near the refined count plus one window
-  /// per shard when the walk stops early.
+  /// Candidate bounds the walk's streaming selection put in final order
+  /// (DESIGN §3k): at most n, and CandidateWindow::kFirstOrdered per shard
+  /// when the walk halts within them, as at small k.
   size_t bounds_ordered = 0;
+  /// Rows a walk that outran its window re-read to refill it (DESIGN §3k),
+  /// already included in quantized_bound_computations (int8 mode) or
+  /// bound_computations (float mode) and the matching byte counters. 0
+  /// whenever the walk halts within its first window, as at small k.
+  size_t rows_rescanned = 0;
+  /// Where the time went, summed over shards (so a sharded search's sum can
+  /// exceed its latency): the level scan with its streaming selection, the
+  /// sort of each window's survivors, and the candidate walk's refinement.
+  /// Wall-clock readings, not walk-determined: no test compares them.
+  double scan_ms = 0.0;
+  double select_ms = 0.0;
+  double refine_ms = 0.0;
 
   /// Adds another shard's (or level's) counters into this one.
   void Absorb(const CascadeStats& other) {
@@ -95,6 +118,10 @@ struct CascadeStats {
     buffer_pool_misses += other.buffer_pool_misses;
     buffer_pool_evictions += other.buffer_pool_evictions;
     bounds_ordered += other.bounds_ordered;
+    rows_rescanned += other.rows_rescanned;
+    scan_ms += other.scan_ms;
+    select_ms += other.select_ms;
+    refine_ms += other.refine_ms;
   }
 };
 
@@ -174,11 +201,114 @@ bool ExactKnnShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT target,
   return true;
 }
 
+// Rows whose level bounds the int8 scan computes per LowerBounds2 call:
+// one small on-stack block, filled by one batched kernel pass.
+inline constexpr size_t kBoundBlockRows = 256;
+
+// Bounded streaming selection of the walk's candidates (DESIGN §3k). The
+// level scan offers every (bound, local index) pair in ascending index
+// order; this keeps the pairs strictly above `floor` with bound at most
+// `ceiling`, in a buffer of 2 * width. When the buffer fills, nth_element
+// cuts it to the `width` smallest and lowers an exclusive cutoff, so a
+// later pair at or above the cutoff is skipped with one compare: offers
+// come in ascending index order, so (bound, index) >= (cutoff bound, its
+// index) reduces to bound >= cutoff bound. The buffer therefore always
+// holds exactly the admitted pairs below the cutoff — a prefix of the full
+// (bound, index) sort past `floor` — so walking it in order, and then the
+// next window's, visits the full sort's prefix entry for entry.
+class CandidateWindow {
+ public:
+  using Candidate = std::pair<double, size_t>;
+
+  /// Survivors the first OrderMore() sorts: a top-k walk at small k visits
+  /// a few dozen candidates per shard, so sorting the whole window (up to
+  /// 2W pairs) up front would mostly order pairs it never reads.
+  static constexpr size_t kFirstOrdered = 128;
+
+  /// Starts a scan. `floor` null admits pairs from the first; an infinite
+  /// `ceiling` admits every bound.
+  void Start(size_t width, const Candidate* floor, double ceiling) {
+    width_ = width;
+    has_floor_ = floor != nullptr;
+    if (has_floor_) floor_ = *floor;
+    // Until the first cut, skipping bound >= cutoff_ means skipping bound
+    // > ceiling; NaN compares false and skips nothing.
+    cutoff_ = std::isinf(ceiling)
+                  ? std::numeric_limits<double>::quiet_NaN()
+                  : std::nextafter(ceiling,
+                                   std::numeric_limits<double>::infinity());
+    cut_ = false;
+    ordered_ = 0;
+    chunk_ = kFirstOrdered;
+    items_.clear();
+    items_.reserve(2 * width);
+  }
+
+  void Offer(double bound, size_t index) {
+    if (bound >= cutoff_) return;
+    if (has_floor_ && !(floor_ < Candidate(bound, index))) return;
+    items_.emplace_back(bound, index);
+    if (items_.size() == 2 * width_) Cut();
+  }
+
+  /// Puts the next survivors in final order — kFirstOrdered of them, then
+  /// twice as many per call, each an nth_element over the unordered rest
+  /// plus a sort of the chunk — and returns how many; 0 once all are.
+  size_t OrderMore() {
+    const size_t end = std::min(items_.size(), ordered_ + chunk_);
+    const auto first = items_.begin() + Offset(ordered_);
+    const auto last = items_.begin() + Offset(end);
+    if (last != items_.end()) std::nth_element(first, last, items_.end());
+    std::sort(first, last);
+    const size_t added = end - ordered_;
+    ordered_ = end;
+    chunk_ *= 2;
+    return added;
+  }
+
+  /// True when nothing was cut: the survivors are every admitted pair, so
+  /// no later window is needed.
+  bool complete() const { return !cut_; }
+  size_t ordered() const { return ordered_; }
+  const Candidate& operator[](size_t pos) const { return items_[pos]; }
+
+ private:
+  static std::ptrdiff_t Offset(size_t pos) {
+    return static_cast<std::ptrdiff_t>(pos);
+  }
+
+  void Cut() {
+    const auto mid = items_.begin() + Offset(width_);
+    std::nth_element(items_.begin(), mid, items_.end());
+    cutoff_ = mid->first;
+    cut_ = true;
+    items_.resize(width_);
+  }
+
+  size_t width_ = 0;
+  bool has_floor_ = false;
+  Candidate floor_;
+  double cutoff_ = 0.0;
+  bool cut_ = false;
+  size_t ordered_ = 0;
+  size_t chunk_ = kFirstOrdered;
+  std::vector<Candidate> items_;
+};
+
 // The cascade restricted to rows [range.begin, range.end): appends up to
 // k local best (d^2, index) pairs to `best` (unsorted) and adds this
 // shard's counters to `stats`. `qquery` non-null runs the int8 level −1
 // (over `qs`, indexed by *global* row number) in place of the all-rows
 // float prefix scan. Returns false iff the accessor failed mid-shard.
+//
+// The level scan and candidate selection are one streaming pass with O(W)
+// scratch, W = IncrementalOrder's first window: a CandidateWindow keeps the
+// best W to 2W (bound, index) pairs and the walk visits them in order. In
+// the rare case it uses them all without halting, the shard is rescanned
+// for the pairs after the last one visited, with W doubled and, once k
+// candidates are held, only bounds the walk could still visit (at most the
+// current k-th d^2). Rescanned rows are real reads and count in the scan
+// counters and in rows_rescanned.
 template <typename RowAccessor>
 bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
                   size_t dim, size_t k, const CascadeOptions& options,
@@ -196,33 +326,31 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
   // the int8 level −1 (quantized codes, ~1 byte/dim) or the float s0-dim
   // prefix (8 bytes/dim over s0 of dim dims). Both are admissible lower
   // bounds on d^2, so either ordering admits early termination with no
-  // false dismissals. In float mode the accumulator state is kept so
-  // refinement can resume from the prefix without recomputing it.
-  std::vector<SquaredDistanceAccumulator> prefix;
-  std::vector<std::pair<double, size_t>> keyed(n);  // (bound, local index)
-  if (qquery != nullptr) {
-    for (size_t i = 0; i < n; ++i) {
-      keyed[i] = {qs->LowerBound2(*qquery, range.begin + i), i};
+  // false dismissals.
+  CandidateWindow window;
+  auto scan = [&]() -> bool {
+    if (qquery != nullptr) {
+      double bounds[kBoundBlockRows];
+      for (size_t i = 0; i < n; i += kBoundBlockRows) {
+        const size_t m = std::min(kBoundBlockRows, n - i);
+        qs->LowerBounds2(*qquery, range.begin + i, {bounds, m});
+        for (size_t r = 0; r < m; ++r) window.Offer(bounds[r], i + r);
+      }
+      stats->quantized_bound_computations += n;
+      stats->bytes_scanned_quantized += n * qs->row_bytes();
+    } else {
+      for (size_t i = 0; i < n; ++i) {
+        const double* FUZZYDB_RESTRICT row = rows.Acquire(range.begin + i);
+        if (row == nullptr) return false;
+        SquaredDistanceAccumulator prefix;
+        prefix.Accumulate(row, t, 0, s0);
+        window.Offer(prefix.Total(), i);
+      }
+      stats->bound_computations += n;
+      stats->bytes_scanned_prefix += n * s0 * sizeof(double);
     }
-    stats->quantized_bound_computations += n;
-    stats->bytes_scanned_quantized += n * qs->row_bytes();
-  } else {
-    prefix.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const double* FUZZYDB_RESTRICT row = rows.Acquire(range.begin + i);
-      if (row == nullptr) return false;
-      prefix[i].Accumulate(row, t, 0, s0);
-      keyed[i] = {prefix[i].Total(), i};
-    }
-    stats->bound_computations += n;
-    stats->bytes_scanned_prefix += n * s0 * sizeof(double);
-  }
-
-  // Visit candidates in ascending (bound, index) order. The walk stops
-  // after a short prefix, so the order is selected window by window rather
-  // than fully sorted; (bound, index) is a strict total order, so the
-  // visits are exactly the full sort's.
-  IncrementalOrder<std::pair<double, size_t>> order(std::move(keyed));
+    return true;
+  };
 
   // Current k best as (d^2, global index); "worst" is the lexicographic
   // maximum, matching ExactKnn's tie-break (distance ascending, then index).
@@ -235,8 +363,49 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     }
   };
 
-  for (size_t pos = 0; pos < n; ++pos) {
-    const auto [b, local_idx] = order.At(pos);
+  // Charges the time since the previous lap to one phase counter.
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point mark = Clock::now();
+  auto lap = [&mark](double* phase_ms) {
+    const Clock::time_point now = Clock::now();
+    *phase_ms += std::chrono::duration<double, std::milli>(now - mark).count();
+    mark = now;
+  };
+
+  // Visit candidates in ascending (bound, index) order, one window at a
+  // time; (bound, index) is a strict total order, so the visits are
+  // exactly the full sort's.
+  size_t width = IncrementalOrder<CandidateWindow::Candidate>::kFirstWindow;
+  window.Start(width, nullptr, std::numeric_limits<double>::infinity());
+  if (!scan()) return false;
+  lap(&stats->scan_ms);
+  for (size_t pos = 0;; ++pos) {
+    if (pos == window.ordered()) {
+      lap(&stats->refine_ms);
+      if (const size_t added = window.OrderMore(); added > 0) {
+        stats->bounds_ordered += added;
+      } else {
+        if (window.complete()) break;
+        // The walk used the whole window without halting: refill with the
+        // pairs after the last one visited, in a window twice as wide.
+        // Once k are held, a bound above the k-th d^2 can never be
+        // visited (that d^2 only falls), so it need not be kept.
+        const CandidateWindow::Candidate last = window[pos - 1];
+        const double ceiling = best->size() == k
+                                   ? (*best)[worst_pos].first
+                                   : std::numeric_limits<double>::infinity();
+        width *= 2;
+        window.Start(width, &last, ceiling);
+        if (!scan()) return false;
+        stats->rows_rescanned += n;
+        lap(&stats->scan_ms);
+        stats->bounds_ordered += window.OrderMore();
+        pos = 0;
+        if (window.ordered() == 0) break;
+      }
+      lap(&stats->select_ms);
+    }
+    const auto [b, local_idx] = window[pos];
     // Strict >: a candidate whose bound ties the worst d^2 could still win
     // its tie on index, so only a strictly larger bound ends the scan.
     if (best->size() == k && b > (*best)[worst_pos].first) break;
@@ -247,20 +416,21 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
     const size_t idx = range.begin + local_idx;
     const double* FUZZYDB_RESTRICT row = rows.Acquire(idx);
     if (row == nullptr) return false;
+    // Level 0, the s0-dim float prefix. In float mode this re-reads the
+    // prefix the scan already summed (keeping it would cost 64 B per row);
+    // the accumulator is split-invariant, so the bits are the scan's.
     SquaredDistanceAccumulator acc;
+    acc.Accumulate(row, t, 0, s0);
     bool pruned = false;
     if (qquery != nullptr) {
-      // Level 0 runs lazily: the float prefix is read only for candidates
-      // the int8 bound could not dismiss. Its own bound can prune a
-      // candidate the walk ordering (keyed on the quantized bound) let
-      // through — a skip of this candidate, never a halt of the walk.
-      acc.Accumulate(row, t, 0, s0);
+      // In int8 mode level 0 runs lazily: the float prefix is read only
+      // for candidates the int8 bound could not dismiss. Its own bound can
+      // prune a candidate the walk ordering (keyed on the quantized bound)
+      // let through — a skip of this candidate, never a halt of the walk.
       ++stats->bound_computations;
       stats->bytes_scanned_prefix += s0 * sizeof(double);
       pruned = s0 < dim && best->size() == k &&
                acc.Total() > (*best)[worst_pos].first;
-    } else {
-      acc = prefix[local_idx];
     }
     size_t j = s0;
     while (j < dim && !pruned) {
@@ -306,7 +476,7 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
       recompute_worst();
     }
   }
-  stats->bounds_ordered += order.ordered();
+  lap(&stats->refine_ms);
   return true;
 }
 

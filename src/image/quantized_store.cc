@@ -16,6 +16,11 @@ namespace {
 // so a 1e-9 relative shave dominates every accumulated rounding term.
 constexpr double kBoundSafety = 1e-9;
 
+// Rows per LowerBounds2 kernel call, and the int32 block sums it keeps for
+// them (16 KB of stack: still 64 rows per call at kMaxBlocks blocks).
+constexpr size_t kBatchRows = 256;
+constexpr size_t kBatchSums = 4096;
+
 int8_t QuantizeValue(double value, double scale) {
   if (scale <= 0.0) return 0;
   const double scaled = value / scale;
@@ -29,15 +34,6 @@ int8_t QuantizeValue(double value, double scale) {
     return static_cast<int8_t>(-simd::kInt8CodeMax);
   }
   return static_cast<int8_t>(std::lround(scaled));
-}
-
-void RunShards(ThreadPool* pool, size_t shards,
-               const std::function<void(size_t)>& fn) {
-  if (pool != nullptr) {
-    pool->ParallelFor(shards, fn);
-  } else {
-    for (size_t s = 0; s < shards; ++s) fn(s);
-  }
 }
 
 }  // namespace
@@ -71,7 +67,7 @@ QuantizedStore QuantizedStore::FromParts(size_t size, size_t dim,
   assert(scales.size() == store.blocks_ && residuals.size() == size &&
          codes.size() == size * store.padded_);
   store.kernel_level_ = simd::Active();
-  store.kernel_ = simd::ResolveBlockSsd(store.kernel_level_);
+  store.kernel_ = simd::ResolveBlockSsdRows(store.kernel_level_);
   store.scales_ = std::move(scales);
   store.scales_sq_.resize(store.blocks_);
   for (size_t b = 0; b < store.blocks_; ++b) {
@@ -92,7 +88,7 @@ QuantizedStore QuantizedStore::Build(const double* rows, size_t size,
   store.blocks_ = (dim + kBlockDim - 1) / kBlockDim;
   store.padded_ = store.blocks_ * kBlockDim;
   store.kernel_level_ = simd::Active();
-  store.kernel_ = simd::ResolveBlockSsd(store.kernel_level_);
+  store.kernel_ = simd::ResolveBlockSsdRows(store.kernel_level_);
 
   // Per-block scales from the data's own maxima: stored codes never clamp.
   store.scales_.assign(store.blocks_, 0.0);
@@ -129,39 +125,51 @@ QuantizedStore::EncodedQuery QuantizedStore::EncodeQuery(
   return query;
 }
 
-double QuantizedStore::LowerBound2(const EncodedQuery& query, size_t i) const {
-  std::array<int32_t, kMaxBlocks> block_sums;
-  kernel_(codes_.data() + i * padded_, query.codes.data(), padded_,
-          block_sums.data());
-  // Fixed ascending-block recombination: deterministic in (store, query),
-  // independent of kernel level and shard split.
-  double dq2 = 0.0;
-  for (size_t b = 0; b < blocks_; ++b) {
-    dq2 += scales_sq_[b] * static_cast<double>(block_sums[b]);
+void QuantizedStore::LowerBounds2(const EncodedQuery& query, size_t begin,
+                                  std::span<double> out) const {
+  assert(begin + out.size() <= size_);
+  std::array<int32_t, kBatchSums> sums;
+  const size_t rows_per_call = std::min(kBatchRows, kBatchSums / blocks_);
+  for (size_t done = 0; done < out.size();) {
+    const size_t rows = std::min(rows_per_call, out.size() - done);
+    kernel_(codes_.data() + (begin + done) * padded_, query.codes.data(),
+            padded_, rows, sums.data());
+    BoundsFromSums(query, begin + done, rows, sums.data(), &out[done]);
+    done += rows;
   }
-  const double bound = std::sqrt(dq2) * (1.0 - kBoundSafety) - residuals_[i] -
-                       query.residual;
-  if (bound <= 0.0) return 0.0;
-  return bound * bound;
 }
 
-void QuantizedStore::BatchLowerBounds2(const EncodedQuery& query,
-                                       std::span<double> out) const {
-  BatchLowerBounds2(query, out, /*pool=*/nullptr, /*shards=*/1);
+double QuantizedStore::LowerBound2(const EncodedQuery& query, size_t i) const {
+  std::array<int32_t, kMaxBlocks> sums;
+  kernel_(codes_.data() + i * padded_, query.codes.data(), padded_, 1,
+          sums.data());
+  double bound;
+  BoundsFromSums(query, i, 1, sums.data(), &bound);
+  return bound;
 }
 
-void QuantizedStore::BatchLowerBounds2(const EncodedQuery& query,
-                                       std::span<double> out, ThreadPool* pool,
-                                       size_t shards) const {
-  assert(out.size() == size_);
-  if (shards == 0) shards = pool != nullptr ? pool->executors() : 1;
-  shards = std::max<size_t>(1, std::min(shards, std::max<size_t>(size_, 1)));
-  const std::vector<ShardRange> ranges = MakeShards(size_, shards);
-  RunShards(pool, ranges.size(), [&](size_t s) {
-    for (size_t i = ranges[s].begin; i < ranges[s].end; ++i) {
-      out[i] = LowerBound2(query, i);
+// The one recombination: each row's d~^2 sums its blocks in ascending
+// order, then sqrt, shave, clamp — deterministic in (store, query, row),
+// independent of kernel level, batch and shard split. The loops run
+// block-outer (accumulating in `out`) so the compiler can vectorize across
+// rows, which leaves every row's own operation order unchanged.
+void QuantizedStore::BoundsFromSums(const EncodedQuery& query, size_t first,
+                                    size_t rows, const int32_t* sums,
+                                    double* out) const {
+  std::fill_n(out, rows, 0.0);
+  for (size_t b = 0; b < blocks_; ++b) {
+    const double scale_sq = scales_sq_[b];
+    for (size_t r = 0; r < rows; ++r) {
+      out[r] += scale_sq * static_cast<double>(sums[r * blocks_ + b]);
     }
-  });
+  }
+  for (size_t r = 0; r < rows; ++r) {
+    const double bound = std::sqrt(out[r]) * (1.0 - kBoundSafety) -
+                         residuals_[first + r] - query.residual;
+    // The clamp as a select, so the loop vectorizes.
+    const double clamped = bound <= 0.0 ? 0.0 : bound;
+    out[r] = clamped * clamped;
+  }
 }
 
 }  // namespace fuzzydb

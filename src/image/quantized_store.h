@@ -29,7 +29,7 @@
 // exact squared distance for every pair, by construction: no sampling, no
 // tuning, no dependence on the data distribution. (A deliberately clamped
 // target only grows r_t, which only weakens the bound — never breaks it.)
-// LowerBound2() additionally shaves a 1e-9 relative safety margin off d~ so
+// LowerBounds2() additionally shaves a 1e-9 relative safety margin off d~ so
 // floating-point roundoff in the float recombination can never push the
 // computed bound past the exactly-computed distance; the margin is ~10^5
 // times roundoff and ~10^-9 of the bound itself, i.e. free.
@@ -37,6 +37,14 @@
 // The kernels' int32 accumulations are exact integer arithmetic, so the
 // scalar, AVX2, and AVX-512 VNNI paths are bit-identical and the dispatch
 // choice (common/simd_dispatch.h) can never change answers.
+//
+// The level −1 scan is batched: LowerBounds2() runs one kernel call over
+// many consecutive rows (the query copied once, eight block sums reduced
+// together), then recombines each row in the one fixed order — ascending
+// blocks, sqrt, safety shave, clamp. LowerBound2() is its one-row case, so
+// there is a single recombination, and it is compiled with FMA contraction
+// off (src/image/CMakeLists.txt) so native-arch builds produce the same
+// bits as portable ones.
 
 #ifndef FUZZYDB_IMAGE_QUANTIZED_STORE_H_
 #define FUZZYDB_IMAGE_QUANTIZED_STORE_H_
@@ -46,7 +54,6 @@
 
 #include "common/aligned_buffer.h"
 #include "common/simd_dispatch.h"
-#include "common/thread_pool.h"
 
 namespace fuzzydb {
 
@@ -58,7 +65,7 @@ class QuantizedStore {
   /// Dimensions per scale block (= the kernel block size).
   static constexpr size_t kBlockDim = simd::kBlockDim;
   /// Hard cap on blocks per row, sizing the kernel's stack scratch.
-  static constexpr size_t kMaxBlocks = 64;
+  static constexpr size_t kMaxBlocks = simd::kMaxBlocks;
 
   QuantizedStore() = default;
 
@@ -128,29 +135,30 @@ class QuantizedStore {
   };
   EncodedQuery EncodeQuery(std::span<const double> target) const;
 
-  /// The admissible lower bound on the exact *squared* distance between row
-  /// i and the encoded target: max(0, d~ * (1 - 1e-9) - r_x - r_t)^2.
+  /// The level −1 scan over rows [begin, begin + out.size()): out[r] is the
+  /// admissible lower bound on the exact *squared* distance between row
+  /// begin + r and the encoded target,
+  ///     max(0, d~ * (1 - 1e-9) - r_x - r_t)^2.
+  /// Batched kernel calls over many rows; each row's value depends only on
+  /// (store, query, row), never on the batch it was computed in.
+  void LowerBounds2(const EncodedQuery& query, size_t begin,
+                    std::span<double> out) const;
+
+  /// LowerBounds2's one-row case: row i's bound.
   double LowerBound2(const EncodedQuery& query, size_t i) const;
 
-  /// Level −1 batch scan: out[i] = LowerBound2(query, i) for every row, one
-  /// contiguous pass over the int8 buffer.
-  void BatchLowerBounds2(const EncodedQuery& query,
-                         std::span<double> out) const;
-
-  /// Sharded batch scan on `pool` (contiguous row ranges, one per executor
-  /// by default). Bit-identical to the serial overload at any shard count:
-  /// rows are independent and each row's bound is computed by the same
-  /// exact-integer kernel plus the same fixed-order float recombination.
-  void BatchLowerBounds2(const EncodedQuery& query, std::span<double> out,
-                         ThreadPool* pool, size_t shards = 0) const;
-
  private:
+  // Bounds of rows [first, first + rows) from their kernel block sums
+  // (row-major, blocks() per row) into out[0, rows).
+  void BoundsFromSums(const EncodedQuery& query, size_t first, size_t rows,
+                      const int32_t* sums, double* out) const;
+
   size_t size_ = 0;
   size_t dim_ = 0;
   size_t padded_ = 0;
   size_t blocks_ = 0;
   simd::Level kernel_level_ = simd::Level::kScalar;
-  simd::BlockSsdFn kernel_ = nullptr;
+  simd::BlockSsdRowsFn kernel_ = nullptr;
   std::vector<double> scales_;     // per block
   std::vector<double> scales_sq_;  // s_b^2, the recombination coefficients
   std::vector<double> residuals_;  // per row

@@ -59,6 +59,47 @@ TEST(SimdDispatchTest, EveryRunnableKernelMatchesScalarBitForBit) {
   }
 }
 
+TEST(SimdDispatchTest, BatchedKernelsMatchPerRowScalarBitForBit) {
+  // All codes at +/-kInt8CodeMax first: the worst case for overflow.
+  const size_t codes = 4 * simd::kBlockDim;
+  for (size_t rows : {1u, 3u}) {
+    std::vector<int8_t> hi(rows * codes,
+                           static_cast<int8_t>(simd::kInt8CodeMax));
+    std::vector<int8_t> lo(codes, static_cast<int8_t>(-simd::kInt8CodeMax));
+    const int32_t per_block = static_cast<int32_t>(simd::kBlockDim) *
+                              (2 * simd::kInt8CodeMax) *
+                              (2 * simd::kInt8CodeMax);
+    for (simd::Level level : SupportedLevels()) {
+      std::vector<int32_t> sums(rows * 4);
+      simd::ResolveBlockSsdRows(level)(hi.data(), lo.data(), codes, rows,
+                                       sums.data());
+      for (int32_t s : sums) EXPECT_EQ(s, per_block) << simd::Name(level);
+    }
+  }
+  Rng rng(516);
+  // Row counts whose rows * blocks unit counts land on and off the batched
+  // kernels' eight-unit step, so unit pairs straddle rows and tails run.
+  for (size_t blocks : {1u, 2u, 3u, 4u, 5u, 7u, 64u}) {
+    const size_t n = blocks * simd::kBlockDim;
+    for (size_t rows : {1u, 2u, 3u, 7u, 8u, 9u, 33u}) {
+      const std::vector<int8_t> x = RandomCodes(&rng, rows * n);
+      const std::vector<int8_t> y = RandomCodes(&rng, n);
+      std::vector<int32_t> want(rows * blocks);
+      for (size_t r = 0; r < rows; ++r) {
+        simd::ResolveBlockSsd(simd::Level::kScalar)(
+            x.data() + r * n, y.data(), n, want.data() + r * blocks);
+      }
+      for (simd::Level level : SupportedLevels()) {
+        std::vector<int32_t> got(rows * blocks, -1);
+        simd::ResolveBlockSsdRows(level)(x.data(), y.data(), n, rows,
+                                         got.data());
+        ASSERT_EQ(got, want) << simd::Name(level) << " blocks=" << blocks
+                             << " rows=" << rows;
+      }
+    }
+  }
+}
+
 TEST(SimdDispatchTest, ExtremeCodesNeverOverflowAnyKernel) {
   // All codes at +/-kInt8CodeMax: per-dim diff^2 = 126^2, the worst case
   // the maddubs path must survive without s8/s16 saturation.

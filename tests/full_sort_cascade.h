@@ -2,7 +2,9 @@
 // before the first visit — the ordering CascadeShard used before windowed
 // selection. Windowed selection must change no CascadeStats field, because
 // the walk visits the same candidates in the same order; this recomputes
-// the fields that walk determines so the store tests can assert it.
+// the fields that walk determines so the store tests can assert it. A walk
+// that outruns its first window also rescans the shard, which only the
+// scan counters show (ExpectStreamingStats).
 
 #ifndef FUZZYDB_TESTS_FULL_SORT_CASCADE_H_
 #define FUZZYDB_TESTS_FULL_SORT_CASCADE_H_
@@ -10,11 +12,14 @@
 #include <algorithm>
 #include <numeric>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/incremental_order.h"
+#include "common/random.h"
 #include "common/squared_distance.h"
 #include "common/thread_pool.h"
 #include "image/knn_kernel.h"
@@ -123,6 +128,96 @@ inline void ExpectWalkFieldsEqual(const CascadeStats& got,
   EXPECT_EQ(got.bytes_scanned_quantized, want.bytes_scanned_quantized);
   EXPECT_EQ(got.bytes_scanned_prefix, want.bytes_scanned_prefix);
   EXPECT_EQ(got.bytes_scanned_refine, want.bytes_scanned_refine);
+}
+
+// The most rows the streaming selection rescans in one shard of n rows
+// whose walk visits `visited` candidates. The walk reads one entry past its
+// last visit to halt, so it needs windows covering min(n, visited + 1)
+// entries; the first covers at least W (the first window) and the i-th
+// refill at least 2^i W, and each refill rescans the shard.
+inline size_t MaxRescanRows(size_t n, size_t visited) {
+  const size_t need = std::min(n, visited + 1);
+  size_t width = IncrementalOrder<std::pair<double, size_t>>::kFirstWindow;
+  size_t covered = width;
+  size_t rescanned = 0;
+  while (covered < need) {
+    width *= 2;
+    covered += width;
+    rescanned += n;
+  }
+  return rescanned;
+}
+
+// Checks a streaming CascadeKnn's stats against the fully sorted walk:
+// every walk field equal, except that the scan counters (int8 or float,
+// by mode) also count the rows_rescanned by refills, which stay within
+// MaxRescanRows. Returns rows_rescanned.
+template <typename RowFn>
+size_t ExpectStreamingStats(const CascadeStats& got, const RowFn& row,
+                            size_t n, std::span<const double> t, size_t k,
+                            const CascadeOptions& options,
+                            const QuantizedStore* qs, size_t shards) {
+  CascadeStats want;
+  size_t max_rescanned = 0;
+  for (const ShardRange& range : MakeShards(n, shards)) {
+    CascadeStats shard;
+    FullSortShard(row, t, k, options, qs, range, &shard);
+    max_rescanned += MaxRescanRows(range.size(), shard.candidates_refined);
+    want.Absorb(shard);
+  }
+  EXPECT_LE(got.rows_rescanned, max_rescanned);
+  if (qs != nullptr) {
+    want.quantized_bound_computations += got.rows_rescanned;
+    want.bytes_scanned_quantized += got.rows_rescanned * qs->row_bytes();
+  } else {
+    const size_t s0 = std::clamp<size_t>(options.prefix_dim, 1, t.size());
+    want.bound_computations += got.rows_rescanned;
+    want.bytes_scanned_prefix += got.rows_rescanned * s0 * sizeof(double);
+  }
+  ExpectWalkFieldsEqual(got, want);
+  EXPECT_GE(got.bounds_ordered, got.candidates_refined);
+  EXPECT_LE(got.bounds_ordered, n);
+  return got.rows_rescanned;
+}
+
+// Row sets that stress the streaming selection: row i of `kind`, dim
+// doubles. "random": a decaying spectrum; "identical": one row n times
+// (every bound equal); "plateau": copies of 37 prototypes, so runs of
+// equal bounds straddle every window cutoff; "prefix": "identical" with
+// every dimension past the default 8-dim prefix zero, so for a target that
+// is zero there too the float prefix bound equals the exact distance and
+// a refill must keep bounds equal to the k-th distance.
+inline std::vector<std::vector<double>> SelectionRows(const std::string& kind,
+                                                      size_t n, size_t dim,
+                                                      uint64_t seed) {
+  Rng rng(seed);
+  auto decaying = [&rng, dim] {
+    std::vector<double> row(dim);
+    double scale = 1.0;
+    for (size_t j = 0; j < dim; ++j, scale *= 0.85) {
+      row[j] = scale * rng.NextGaussian();
+    }
+    return row;
+  };
+  std::vector<std::vector<double>> prototypes;
+  if (kind == "identical" || kind == "prefix") {
+    prototypes.push_back(decaying());
+  }
+  if (kind == "prefix") {
+    std::fill(prototypes[0].begin() + std::min<size_t>(dim, 8),
+              prototypes[0].end(), 0.0);
+  }
+  if (kind == "plateau") {
+    for (int p = 0; p < 37; ++p) prototypes.push_back(decaying());
+  }
+  std::vector<std::vector<double>> rows;
+  rows.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    rows.push_back(prototypes.empty()
+                       ? decaying()
+                       : prototypes[rng.NextBounded(prototypes.size())]);
+  }
+  return rows;
 }
 
 }  // namespace testing_oracle

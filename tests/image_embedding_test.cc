@@ -366,5 +366,74 @@ TEST(CascadeSelectionTest, OrdersAShortPrefixAndKeepsFullSortStats) {
   }
 }
 
+// Streaming selection keeps the full sort's walk on the shapes that stress
+// it: walks longer than one window (k > W, identical rows) that must
+// refill, equal-bound plateaus across every cutoff, shards smaller than a
+// window, and k >= n.
+TEST(CascadeSelectionTest, StreamingWindowRefillsAndKeepsFullSortWalk) {
+  constexpr size_t kDim = 24;
+  // Whether one shard's walk must outrun its first window (it holds at
+  // most 2W - 1 pairs), must not, or may.
+  enum Refill { kMust, kNever, kMay };
+  struct Case {
+    const char* kind;
+    size_t n;
+    size_t k;
+    Refill refill;
+  };
+  const Case cases[] = {
+      {"random", 5000, 10, kNever},     {"random", 6000, 2500, kMust},
+      {"identical", 3000, 10, kMust},   {"identical", 3000, 1500, kMust},
+      {"prefix", 3000, 10, kMust},
+      {"plateau", 4000, 10, kMay},      {"plateau", 6000, 2500, kMust},
+      {"random", 300, 10, kNever},      {"random", 300, 300, kNever},
+      {"random", 300, 400, kNever},     {"random", 3000, 3000, kMust},
+  };
+  Rng rng(91);
+  for (const Case& c : cases) {
+    const std::vector<std::vector<double>> rows =
+        testing_oracle::SelectionRows(c.kind, c.n, kDim, 2029);
+    EmbeddingStore store(c.n, kDim);
+    for (size_t i = 0; i < c.n; ++i) {
+      std::copy(rows[i].begin(), rows[i].end(), store.MutableRow(i).begin());
+    }
+    store.BuildQuantized();
+    const auto row = [&store](size_t i) { return store.Row(i).data(); };
+    std::vector<double> target = rows[rng.NextBounded(c.n)];
+    for (double& x : target) {
+      if (x != 0.0) x += 0.05 * rng.NextGaussian();  // zeros stay zero
+    }
+    const std::vector<std::pair<size_t, double>> exact =
+        store.ExactKnn(target, c.k);
+    for (bool quantized : {true, false}) {
+      for (size_t shards : {size_t{1}, size_t{3}}) {
+        SCOPED_TRACE(std::string(c.kind) + " n=" + std::to_string(c.n) +
+                     " k=" + std::to_string(c.k) + " quantized=" +
+                     std::to_string(quantized) +
+                     " shards=" + std::to_string(shards));
+        CascadeOptions options;
+        options.use_quantized = quantized;
+        CascadeStats stats;
+        ASSERT_EQ(store.CascadeKnn(target, c.k, options, &stats, nullptr,
+                                   shards),
+                  exact);
+        const size_t rescanned = testing_oracle::ExpectStreamingStats(
+            stats, row, c.n, target, c.k, options,
+            quantized ? &store.quantized() : nullptr, shards);
+        if (c.refill == kMust && shards == 1) {
+          EXPECT_GT(rescanned, 0u);
+        }
+        if (c.refill == kNever) {
+          // A walk inside its first window scans each row once.
+          EXPECT_EQ(rescanned, 0u);
+          EXPECT_EQ(quantized ? stats.quantized_bound_computations
+                              : stats.bound_computations,
+                    c.n);
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace fuzzydb

@@ -161,25 +161,66 @@ TEST(QuantizedStoreTest, AdversarialScaleBlockStaysAdmissible) {
   }
 }
 
-TEST(QuantizedStoreTest, BatchLowerBoundsShardedIsBitIdenticalToSerial) {
+// The bound recombination as LowerBound2 computed it row by row: the
+// portable scalar kernel's block sums, then ascending blocks, sqrt, the
+// 1e-9 shave, the clamp. Every build compiles with FMA contraction off
+// (top-level CMakeLists.txt), so these are the store's bits in any build.
+double ReferenceBound2(const QuantizedStore& qs,
+                       const QuantizedStore::EncodedQuery& query, size_t i) {
+  std::vector<int32_t> sums(qs.blocks());
+  simd::ResolveBlockSsd(simd::Level::kScalar)(
+      qs.RowCodes(i).data(), query.codes.data(), qs.padded_dim(),
+      sums.data());
+  double dq2 = 0.0;
+  for (size_t b = 0; b < qs.blocks(); ++b) {
+    dq2 += qs.scale(b) * qs.scale(b) * static_cast<double>(sums[b]);
+  }
+  const double bound =
+      std::sqrt(dq2) * (1.0 - 1e-9) - qs.row_residual(i) - query.residual;
+  return bound <= 0.0 ? 0.0 : bound * bound;
+}
+
+TEST(QuantizedStoreTest, BatchedBoundsMatchPerRowBoundsBitForBit) {
+  // At the active kernel level (the simd verify leg forces each one), for
+  // padded and odd block counts, batch offsets and lengths off the
+  // kernel's 8-unit stride, bounds clamped to zero and targets far outside
+  // the store's range.
   Rng rng(6047);
-  Palette palette = Palette::Uniform(32, &rng);
-  QuadraticFormDistance qfd = *QuadraticFormDistance::Create(palette);
-  EmbeddingStore store =
-      *EmbeddingStore::Build(qfd, RandomDatabase(&rng, 203, 32));
-  const QuantizedStore& qs = store.quantized();
-  const QuantizedStore::EncodedQuery enc =
-      qs.EncodeQuery(qfd.Embed(RandomHistogram(&rng, 32)));
-  std::vector<double> serial(qs.size());
-  qs.BatchLowerBounds2(enc, serial);
-  ThreadPool pool(4);
-  for (size_t shards : ShardCounts()) {
-    for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-      std::vector<double> sharded(qs.size(), -1.0);
-      qs.BatchLowerBounds2(enc, sharded, p, shards);
-      for (size_t i = 0; i < serial.size(); ++i) {
-        ASSERT_EQ(sharded[i], serial[i])
-            << "shards=" << shards << " pool=" << (p != nullptr) << " i=" << i;
+  constexpr size_t kRows = 1001;
+  for (size_t dim : {16u, 48u, 64u, 72u}) {
+    std::vector<double> rows(kRows * dim);
+    for (double& x : rows) x = rng.NextGaussian();
+    const QuantizedStore qs = QuantizedStore::Build(rows.data(), kRows, dim,
+                                                    dim);
+    std::vector<std::vector<double>> targets;
+    targets.emplace_back(rows.begin(), rows.begin() + dim);  // row 0: clamps
+    targets.emplace_back(dim);
+    for (double& x : targets.back()) x = rng.NextGaussian();
+    targets.emplace_back(dim);
+    for (double& x : targets.back()) x = 40.0 * rng.NextGaussian();
+    for (const std::vector<double>& target : targets) {
+      const QuantizedStore::EncodedQuery query = qs.EncodeQuery(target);
+      std::vector<double> want(kRows);
+      size_t zeros = 0;
+      for (size_t i = 0; i < kRows; ++i) {
+        want[i] = ReferenceBound2(qs, query, i);
+        ASSERT_EQ(qs.LowerBound2(query, i), want[i]) << "dim " << dim;
+        zeros += want[i] == 0.0 ? 1 : 0;
+      }
+      if (&target == &targets.front()) {
+        EXPECT_GT(zeros, 0u);
+      }
+      for (size_t begin : {0u, 1u, 3u, 257u, 999u}) {
+        for (size_t count : {1u, 5u, 7u, 256u, 257u, 1001u}) {
+          count = std::min(count, kRows - begin);
+          std::vector<double> got(count, -1.0);
+          qs.LowerBounds2(query, begin, got);
+          for (size_t r = 0; r < count; ++r) {
+            ASSERT_EQ(got[r], want[begin + r])
+                << "dim " << dim << " begin " << begin << " count " << count
+                << " row " << begin + r;
+          }
+        }
       }
     }
   }

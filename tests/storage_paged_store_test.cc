@@ -282,6 +282,83 @@ TEST(PagedStoreTest, WindowedSelectionKeepsFullSortStats) {
   std::remove(path.c_str());
 }
 
+TEST(PagedStoreTest, StreamingWindowRefillsAndKeepsFullSortWalk) {
+  // The RAM store's selection-shape sweep, behind a pool smaller than the
+  // file: refilled windows re-read paged rows in float mode.
+  constexpr size_t kDim = 24;
+  // Whether one shard's walk must outrun its first window (it holds at
+  // most 2W - 1 pairs), must not, or may.
+  enum Refill { kMust, kNever, kMay };
+  struct Case {
+    const char* kind;
+    size_t n;
+    size_t k;
+    Refill refill;
+  };
+  const Case cases[] = {
+      {"random", 6000, 2500, kMust},    {"identical", 3000, 1500, kMust},
+      {"prefix", 3000, 10, kMust},
+      {"plateau", 4000, 10, kMay},      {"plateau", 6000, 2500, kMust},
+      {"random", 300, 300, kNever},     {"random", 3000, 3000, kMust},
+  };
+  Rng rng(93);
+  for (const Case& c : cases) {
+    const std::string path = TestPath(std::string("stream_") + c.kind);
+    const std::vector<std::vector<double>> rows =
+        testing_oracle::SelectionRows(c.kind, c.n, kDim, 2029);
+    {
+      Result<std::unique_ptr<ColumnFileWriter>> writer =
+          ColumnFileWriter::Create(path, kDim);
+      ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+      for (const std::vector<double>& row : rows) {
+        ASSERT_TRUE((*writer)->AppendRow(row).ok());
+      }
+      ASSERT_TRUE((*writer)->Finish().ok());
+    }
+    PagedStoreOptions store_options;
+    store_options.pool_bytes = 256ull * 1024;
+    Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+        PagedEmbeddingStore::Open(path, store_options);
+    ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+    Result<EmbeddingStore> ram = (*paged)->LoadToMemory();
+    ASSERT_TRUE(ram.ok());
+    const auto row = [&ram](size_t i) { return ram->Row(i).data(); };
+    std::vector<double> target = rows[rng.NextBounded(c.n)];
+    for (double& x : target) {
+      if (x != 0.0) x += 0.05 * rng.NextGaussian();  // zeros stay zero
+    }
+    const std::vector<std::pair<size_t, double>> exact =
+        ram->ExactKnn(target, c.k);
+    for (bool quantized : {true, false}) {
+      for (size_t shards : {size_t{1}, size_t{3}}) {
+        SCOPED_TRACE(std::string(c.kind) + " n=" + std::to_string(c.n) +
+                     " k=" + std::to_string(c.k) + " quantized=" +
+                     std::to_string(quantized) +
+                     " shards=" + std::to_string(shards));
+        CascadeOptions options;
+        options.use_quantized = quantized;
+        CascadeStats stats;
+        Result<std::vector<std::pair<size_t, double>>> got =
+            (*paged)->CascadeKnn(target, c.k, options, &stats, nullptr,
+                                 shards);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(*got, exact);
+        const size_t rescanned = testing_oracle::ExpectStreamingStats(
+            stats, row, c.n, target, c.k, options,
+            quantized ? &ram->quantized() : nullptr, shards);
+        if (c.refill == kMust && shards == 1) {
+          EXPECT_GT(rescanned, 0u);
+        }
+        if (c.refill == kNever) {
+          EXPECT_EQ(rescanned, 0u);
+        }
+      }
+    }
+    (*paged)->Close();
+    std::remove(path.c_str());
+  }
+}
+
 }  // namespace
 }  // namespace storage
 }  // namespace fuzzydb
