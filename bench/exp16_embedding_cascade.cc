@@ -8,6 +8,8 @@
 
 #include <chrono>
 #include <cmath>
+#include <memory>
+#include <span>
 #include <thread>
 
 #include "bench_util.h"
@@ -54,6 +56,61 @@ double MicrosPerQuery(std::chrono::steady_clock::time_point a,
                       std::chrono::steady_clock::time_point b) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count() /
          1000.0 / static_cast<double>(kQueries);
+}
+
+// E16b at a size where one batch pass is long enough (>= 10 ms) for the
+// pool's dispatch cost to vanish: N synthetic 64-dim rows with a decaying
+// spectrum, BatchDistances serial and on pools of 1, 2 and 4 threads, each
+// pass checked bit-identical to the serial one.
+constexpr size_t kLargeBatchRows = 640'000;
+constexpr int kLargeBatchReps = 5;
+
+struct LargeBatchPoint {
+  size_t threads;  // 0 = serial, no pool
+  double ms;
+  size_t bitwise_mismatches;
+};
+
+std::vector<LargeBatchPoint> LargeBatchSweep() {
+  EmbeddingStore store(kLargeBatchRows, kBins);
+  Rng rng(kSeed ^ 0x16b);
+  for (size_t i = 0; i < kLargeBatchRows; ++i) {
+    std::span<double> row = store.MutableRow(i);
+    for (size_t j = 0; j < kBins; ++j) {
+      row[j] = (2.0 * rng.NextDouble() - 1.0) *
+               std::exp(-0.09 * static_cast<double>(j));
+    }
+  }
+  std::vector<std::vector<double>> targets;
+  for (int t = 0; t < 4; ++t) {
+    std::span<const double> row = store.Row(rng.NextBounded(kLargeBatchRows));
+    targets.emplace_back(row.begin(), row.end());
+  }
+  std::vector<double> serial(kLargeBatchRows);
+  std::vector<double> out(kLargeBatchRows);
+  std::vector<LargeBatchPoint> points;
+  for (size_t threads : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    LargeBatchPoint p{threads, 0.0, 0};
+    const auto a = std::chrono::steady_clock::now();
+    for (int r = 0; r < kLargeBatchReps; ++r) {
+      for (const std::vector<double>& t : targets) {
+        store.BatchDistances(t, out, pool.get());
+        benchmark::DoNotOptimize(out.data());
+      }
+    }
+    const auto b = std::chrono::steady_clock::now();
+    p.ms = std::chrono::duration<double, std::milli>(b - a).count() /
+           static_cast<double>(kLargeBatchReps * targets.size());
+    store.BatchDistances(targets[0], serial);
+    store.BatchDistances(targets[0], out, pool.get());
+    for (size_t i = 0; i < out.size(); ++i) {
+      if (out[i] != serial[i]) ++p.bitwise_mismatches;
+    }
+    points.push_back(p);
+  }
+  return points;
 }
 
 // The seed kernel before this layer existed: one left-to-right scalar
@@ -262,6 +319,23 @@ void PrintTables() {
                "speed. Sharded BatchDistances / ExactKnn / CascadeKnn are "
                "checked bit-identical against the serial kernels.\n";
 
+  const std::vector<LargeBatchPoint> large = LargeBatchSweep();
+  TablePrinter ltable({"kernel @ " + std::to_string(kLargeBatchRows) +
+                           " rows",
+                       "ms/pass", "speedup-vs-serial", "bitwise-mismatches"});
+  for (const LargeBatchPoint& p : large) {
+    ltable.AddRow({p.threads == 0 ? std::string("lane-blocked serial")
+                                  : "lane-blocked, pool " +
+                                        std::to_string(p.threads),
+                   TablePrinter::Num(p.ms, 3),
+                   TablePrinter::Num(large[0].ms / p.ms, 3),
+                   std::to_string(p.bitwise_mismatches)});
+  }
+  ltable.Print();
+  std::cout << "At this N one serial pass is long enough that pool "
+               "dispatch is noise; the speedup column is the sharded "
+               "scan's, on " << hw << " hardware threads.\n";
+
   // --- Tuned cascade: pick (prefix_dim, step) for *this* spectrum from a
   // calibration sample, then re-run the query set with the tuned options.
   Banner("E16c: cascade auto-tuning");
@@ -347,13 +421,22 @@ void PrintTables() {
   auto phase_us = [](double ms) {
     return TablePrinter::Num(1000.0 * ms / kQueries, 3);
   };
+  // The share of int8-scanned rows the block-0 prefix screen dismissed
+  // (DESIGN §3g). The screen follows the window's cutoff, which a shard
+  // smaller than two windows never sets: here it reads 0.
+  const double screened =
+      int8_stats.quantized_bound_computations == 0
+          ? 0.0
+          : 1.0 - static_cast<double>(int8_stats.quantized_full_bounds) /
+                      static_cast<double>(
+                          int8_stats.quantized_bound_computations);
   TablePrinter qtable({"config", "us/query", "scan us/q", "select us/q",
-                       "refine us/q", "int8 B/query", "prefix B/query",
-                       "refine B/query", "mismatches"});
+                       "refine us/q", "int8 screened", "int8 B/query",
+                       "prefix B/query", "refine B/query", "mismatches"});
   qtable.AddRow({"cascade, float levels only",
                  TablePrinter::Num(us_float_cascade, 4),
                  phase_us(float_stats.scan_ms), phase_us(float_stats.select_ms),
-                 phase_us(float_stats.refine_ms), "0",
+                 phase_us(float_stats.refine_ms), "-", "0",
                  TablePrinter::Num(per_query(float_stats.bytes_scanned_prefix), 1),
                  TablePrinter::Num(per_query(float_stats.bytes_scanned_refine), 1),
                  std::to_string(float_mm)});
@@ -361,6 +444,7 @@ void PrintTables() {
                  TablePrinter::Num(us_int8_cascade, 4),
                  phase_us(int8_stats.scan_ms), phase_us(int8_stats.select_ms),
                  phase_us(int8_stats.refine_ms),
+                 TablePrinter::Num(screened, 4),
                  TablePrinter::Num(int8_level_bytes, 1),
                  TablePrinter::Num(per_query(int8_stats.bytes_scanned_prefix), 1),
                  TablePrinter::Num(per_query(int8_stats.bytes_scanned_refine), 1),
@@ -414,6 +498,15 @@ void PrintTables() {
     json.Set(prefix + ".bitwise_mismatches", p.bitwise_mismatches);
     json.Set(prefix + ".knn_mismatches", p.knn_mismatches);
   }
+  json.Set("batch_large.rows", kLargeBatchRows);
+  for (const LargeBatchPoint& p : large) {
+    const std::string prefix =
+        p.threads == 0 ? std::string("batch_large.serial")
+                       : "batch_large.threads_" + std::to_string(p.threads);
+    json.Set(prefix + ".ms_per_pass", p.ms);
+    json.Set(prefix + ".speedup_vs_serial", large[0].ms / p.ms);
+    json.Set(prefix + ".bitwise_mismatches", p.bitwise_mismatches);
+  }
   json.SetKernelDispatch(std::string(simd::Name(simd::Active())));
   json.Set("cascade_float.us_per_query", us_float_cascade);
   json.Set("cascade_float.bytes_prefix_per_query",
@@ -434,6 +527,9 @@ void PrintTables() {
            per_query(int8_stats.bytes_scanned_refine));
   json.Set("qcascade.bound_computations_per_query",
            per_query(int8_stats.quantized_bound_computations));
+  json.Set("qcascade.full_bounds_per_query",
+           per_query(int8_stats.quantized_full_bounds));
+  json.Set("qcascade.screened_fraction", screened);
   json.Set("qcascade.float_bounds_per_query",
            per_query(int8_stats.bound_computations));
   json.Set("qcascade.mismatches", int8_mm);

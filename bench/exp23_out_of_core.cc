@@ -184,7 +184,17 @@ struct Aggregate {
   double cold_disk_bytes = 0, warm_disk_bytes = 0;
   double cold_hits = 0, cold_misses = 0, warm_hits = 0, warm_misses = 0;
   double warm_evictions = 0;
+  // Rows the int8 scan read and, of them, those its block-0 prefix screen
+  // passed to the full bound (DESIGN §3g); both 0 with the tier off.
+  double warm_int8_rows = 0, warm_full_bounds = 0;
 };
+
+// The share of int8-scanned rows the prefix screen dismissed on block 0.
+double ScreenedFraction(const Aggregate& a) {
+  return a.warm_int8_rows == 0
+             ? 0.0
+             : 1.0 - a.warm_full_bounds / a.warm_int8_rows;
+}
 
 Aggregate Summarize(const std::vector<QueryPoint>& points) {
   Aggregate agg;
@@ -202,6 +212,10 @@ Aggregate Summarize(const std::vector<QueryPoint>& points) {
     agg.warm_hits += static_cast<double>(p.warm.buffer_pool_hits) / q;
     agg.warm_misses += static_cast<double>(p.warm.buffer_pool_misses) / q;
     agg.warm_evictions += static_cast<double>(p.warm.buffer_pool_evictions) / q;
+    agg.warm_int8_rows +=
+        static_cast<double>(p.warm.quantized_bound_computations) / q;
+    agg.warm_full_bounds +=
+        static_cast<double>(p.warm.quantized_full_bounds) / q;
   }
   return agg;
 }
@@ -310,14 +324,16 @@ void PrintTables() {
   }
 
   TablePrinter table({"mode", "cold ms/q", "warm ms/q", "warm scan ms",
-                      "warm select ms", "warm refine ms", "cold disk MB/q",
-                      "warm disk B/q", "warm pool hit-rate"});
+                      "warm select ms", "warm refine ms", "int8 screened",
+                      "cold disk MB/q", "warm disk B/q",
+                      "warm pool hit-rate"});
   auto add_row = [&table](const std::string& mode, const Aggregate& a) {
     table.AddRow({mode, TablePrinter::Num(a.cold_ms, 2),
                   TablePrinter::Num(a.warm_ms, 2),
                   TablePrinter::Num(a.warm_scan_ms, 2),
                   TablePrinter::Num(a.warm_select_ms, 3),
                   TablePrinter::Num(a.warm_refine_ms, 2),
+                  TablePrinter::Num(ScreenedFraction(a), 4),
                   TablePrinter::Num(a.cold_disk_bytes / 1e6, 3),
                   TablePrinter::Num(a.warm_disk_bytes, 0),
                   TablePrinter::Num(HitRate(a.warm_hits, a.warm_misses), 4)});
@@ -385,6 +401,7 @@ void PrintTables() {
     json.Set(prefix + ".warm_scan_ms_per_query", a.warm_scan_ms);
     json.Set(prefix + ".warm_select_ms_per_query", a.warm_select_ms);
     json.Set(prefix + ".warm_refine_ms_per_query", a.warm_refine_ms);
+    json.Set(prefix + ".warm_screened_fraction", ScreenedFraction(a));
   };
   stamp("int8_cascade", int8);
   stamp("float_cascade", flt);

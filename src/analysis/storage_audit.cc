@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <vector>
 
 namespace fuzzydb {
 
@@ -56,6 +57,8 @@ void CompareCascadeWork(AuditReport* report, const std::string& context,
   // shard split) and independent of the memory hierarchy; the pool
   // counters are intentionally excluded (they are the hierarchy).
   if (ram.quantized_bound_computations != paged.quantized_bound_computations ||
+      ram.quantized_full_bounds != paged.quantized_full_bounds ||
+      ram.bytes_scanned_quantized != paged.bytes_scanned_quantized ||
       ram.bound_computations != paged.bound_computations ||
       ram.candidates_refined != paged.candidates_refined ||
       ram.full_distance_computations != paged.full_distance_computations ||
@@ -145,9 +148,12 @@ AuditReport AuditPagingEquivalence(const storage::PagedEmbeddingStore& paged,
                     qr.scales().size() * sizeof(double)) == 0 &&
         std::memcmp(qp.residuals().data(), qr.residuals().data(),
                     qr.residuals().size() * sizeof(double)) == 0;
+    std::vector<int8_t> codes_p(qr.padded_dim());
+    std::vector<int8_t> codes_r(qr.padded_dim());
     for (size_t i = 0; parts_equal && i < qr.size(); ++i) {
-      parts_equal = std::memcmp(qp.RowCodes(i).data(), qr.RowCodes(i).data(),
-                                qr.RowCodes(i).size()) == 0;
+      qp.CopyRowCodes(i, codes_p);
+      qr.CopyRowCodes(i, codes_r);
+      parts_equal = codes_p == codes_r;
     }
     if (!parts_equal) {
       report.Fail("quantized-parts",

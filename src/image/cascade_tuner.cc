@@ -9,9 +9,15 @@ double CascadeTuner::Cost(const CascadeStats& stats, size_t prefix_dim,
                           size_t dim, double candidate_overhead,
                           size_t queries) {
   if (queries == 0) return 0.0;
+  // Level −1 reads block 0 of every row it scans and the other dims only
+  // of the rows its prefix screen passed (always all of them when dim <=
+  // kBlockDim, where the negative tail term makes the charge n * dim).
+  const double kBlock = static_cast<double>(QuantizedStore::kBlockDim);
   const double level_m1 =
-      static_cast<double>(stats.quantized_bound_computations) *
-      static_cast<double>(dim) * kQuantizedDimCost;
+      (static_cast<double>(stats.quantized_bound_computations) * kBlock +
+       static_cast<double>(stats.quantized_full_bounds) *
+           (static_cast<double>(dim) - kBlock)) *
+      kQuantizedDimCost;
   const double level0 = static_cast<double>(stats.bound_computations) *
                         static_cast<double>(prefix_dim);
   const double refine = static_cast<double>(stats.dims_accumulated) +

@@ -85,8 +85,9 @@ class CascadeTuner {
   static constexpr double kQuantizedDimCost = 0.25;
 
   /// Scores one configuration from its summed calibration stats: level −1
-  /// work (quantized rows scanned, at kQuantizedDimCost per dimension of
-  /// `dim`) plus level-0 work (one prefix_dim-deep accumulation per float
+  /// work (kBlockDim dims per quantized row scanned plus dim - kBlockDim per
+  /// full bound the prefix screen passed, at kQuantizedDimCost per
+  /// dimension) plus level-0 work (one prefix_dim-deep accumulation per float
   /// bound) plus refinement work (dims_accumulated) plus per-candidate
   /// overhead, averaged per query. Deterministic — no wall clock.
   static double Cost(const CascadeStats& stats, size_t prefix_dim, size_t dim,

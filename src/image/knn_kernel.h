@@ -23,10 +23,11 @@
 // column-file format preserves exactly (doubles are written verbatim).
 //
 // The cascade's level scan and candidate selection are one streaming pass
-// per shard: batched int8 bounds (QuantizedStore::LowerBounds2, one small
-// on-stack block at a time) or float prefixes feed a CandidateWindow that
-// keeps only the next W to 2W (bound, index) pairs in walk order, so
-// per-shard scratch is O(W), independent of the shard's size.
+// per shard: screened batched int8 bounds (QuantizedStore::ScreenedBounds,
+// one small on-stack block at a time) or float prefixes feed a
+// CandidateWindow that keeps only the next W to 2W (bound, index) pairs in
+// walk order, so per-shard scratch is O(W), independent of the shard's
+// size.
 //
 // One accessor instance is used per shard, by one thread; accessors
 // themselves need no synchronization (the buffer pool underneath the paged
@@ -56,6 +57,11 @@ namespace fuzzydb {
 struct CascadeStats {
   /// Rows scanned by the int8 level −1 (0 when the tier is off or absent).
   size_t quantized_bound_computations = 0;
+  /// Of those, the rows whose all-block int8 bound was computed: the rows
+  /// the block-0 prefix screen could not dismiss (DESIGN §3g). Every row
+  /// until a shard's window first cuts, and every row of a single-block
+  /// (dim <= 16) store.
+  size_t quantized_full_bounds = 0;
   /// Float prefix-bound evaluations: one per stored object when the
   /// quantized tier is off, one per surviving candidate when it is on.
   /// With the tier off, refinement re-reads each visited candidate's s0-dim
@@ -71,7 +77,9 @@ struct CascadeStats {
   /// candidates (the cascade's actual refinement work).
   size_t dims_accumulated = 0;
   /// Bytes actually read from the store's buffers, per level: the int8
-  /// level −1 scan (codes + residuals), the float prefix bounds, and the
+  /// level −1 scan (QuantizedStore::ScanBytes: block-0 codes of every row,
+  /// tail codes and residual of each row the screen passed), the float
+  /// prefix bounds, and the
   /// incremental refinements. The bandwidth story of the quantized tier is
   /// measured here, not asserted.
   size_t bytes_scanned_quantized = 0;
@@ -106,6 +114,7 @@ struct CascadeStats {
   /// Adds another shard's (or level's) counters into this one.
   void Absorb(const CascadeStats& other) {
     quantized_bound_computations += other.quantized_bound_computations;
+    quantized_full_bounds += other.quantized_full_bounds;
     bound_computations += other.bound_computations;
     candidates_refined += other.candidates_refined;
     full_distance_computations += other.full_distance_computations;
@@ -201,9 +210,10 @@ bool ExactKnnShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT target,
   return true;
 }
 
-// Rows whose level bounds the int8 scan computes per LowerBounds2 call:
-// one small on-stack block, filled by one batched kernel pass.
-inline constexpr size_t kBoundBlockRows = 256;
+// Rows whose level bounds the int8 scan computes per ScreenedBounds call:
+// one on-stack block, large enough that the few rows a screen passes share
+// one tail kernel call.
+inline constexpr size_t kBoundBlockRows = 2048;
 
 // Bounded streaming selection of the walk's candidates (DESIGN §3k). The
 // level scan offers every (bound, local index) pair in ascending index
@@ -265,6 +275,11 @@ class CandidateWindow {
     chunk_ *= 2;
     return added;
   }
+
+  /// The exclusive bound cutoff: Offer skips every bound at or above it.
+  /// NaN (skip nothing) until the first cut of a scan with no ceiling; it
+  /// only falls within a scan.
+  double cutoff() const { return cutoff_; }
 
   /// True when nothing was cut: the survivors are every admitted pair, so
   /// no later window is needed.
@@ -330,14 +345,31 @@ bool CascadeShard(RowAccessor& rows, const double* FUZZYDB_RESTRICT t,
   CandidateWindow window;
   auto scan = [&]() -> bool {
     if (qquery != nullptr) {
+      // The block-0 prefix screen (DESIGN §3g) skips rows whose bound is
+      // provably at or above the window's cutoff, which Offer would skip
+      // anyway; the threshold follows the cutoff as it falls (a stale one
+      // only screens less).
+      uint32_t pass[kBoundBlockRows];
       double bounds[kBoundBlockRows];
+      double cutoff = window.cutoff();
+      int32_t threshold = qs->PrefixSkipThreshold(*qquery, cutoff);
+      size_t full = 0;
       for (size_t i = 0; i < n; i += kBoundBlockRows) {
         const size_t m = std::min(kBoundBlockRows, n - i);
-        qs->LowerBounds2(*qquery, range.begin + i, {bounds, m});
-        for (size_t r = 0; r < m; ++r) window.Offer(bounds[r], i + r);
+        const size_t passed = qs->ScreenedBounds(*qquery, range.begin + i, m,
+                                                 threshold, pass, bounds);
+        for (size_t j = 0; j < passed; ++j) {
+          window.Offer(bounds[j], i + pass[j]);
+        }
+        full += passed;
+        if (window.cutoff() != cutoff) {  // NaN != NaN: recompute, cheaply
+          cutoff = window.cutoff();
+          threshold = qs->PrefixSkipThreshold(*qquery, cutoff);
+        }
       }
       stats->quantized_bound_computations += n;
-      stats->bytes_scanned_quantized += n * qs->row_bytes();
+      stats->quantized_full_bounds += full;
+      stats->bytes_scanned_quantized += qs->ScanBytes(n, full);
     } else {
       for (size_t i = 0; i < n; ++i) {
         const double* FUZZYDB_RESTRICT row = rows.Acquire(range.begin + i);

@@ -5,8 +5,9 @@
 // cheap distance be an admissible lower bound on the exact one; nothing
 // says the bound must be a float eigen-prefix. This tier trades precision
 // for memory bandwidth instead of trading dimensions: every embedding row
-// is stored a second time as int8 codes (1 byte/dim instead of 8), and the
-// level −1 scan reads those codes plus one stored correction term per row.
+// is stored a second time as int8 codes (1 byte/dim instead of 8) with one
+// stored correction term, and the level −1 scan reads the first block of
+// codes of every row and the rest only of the rows it cannot dismiss.
 //
 // Quantization scheme. Dimensions are grouped into blocks of
 // simd::kBlockDim; each block b gets one scale factor
@@ -38,17 +39,48 @@
 // scalar, AVX2, and AVX-512 VNNI paths are bit-identical and the dispatch
 // choice (common/simd_dispatch.h) can never change answers.
 //
-// The level −1 scan is batched: LowerBounds2() runs one kernel call over
-// many consecutive rows (the query copied once, eight block sums reduced
-// together), then recombines each row in the one fixed order — ascending
-// blocks, sqrt, safety shave, clamp. LowerBound2() is its one-row case, so
-// there is a single recombination, and it is compiled with FMA contraction
-// off (src/image/CMakeLists.txt) so native-arch builds produce the same
-// bits as portable ones.
+// The level −1 scan is batched: one kernel call covers many consecutive
+// rows (the query copied once, eight block sums reduced together), then
+// each row is recombined in the one fixed order — ascending blocks, sqrt,
+// safety shave, clamp. ScreenedBounds(), LowerBounds2() and LowerBound2()
+// run the same recombination, and it is compiled with FMA contraction off
+// (src/image/CMakeLists.txt) so native-arch builds produce the same bits
+// as portable ones.
+//
+// Code layout: a prefix plane and a tail. The eigen spectrum decays, so
+// block 0 carries most of every distance, and a top-k scan needs the full
+// bound only for the rows it cannot dismiss (the paper's filter asks for
+// no more than that). The codes are therefore split by block rather than
+// stored row-major:
+//     prefix plane  block 0 of every row, kBlockDim bytes per row, contiguous;
+//     tail          blocks 1.. of every row, padded - kBlockDim bytes per
+//                   row, row-major;
+//     residuals     one double per row.
+// The bytes are the same as a row-major layout's; the column-file format
+// stays row-major, and its reader scatters rows into the planes.
+//
+// The prefix screen (ScreenedBounds, PrefixSkipThreshold). A screened scan
+// reads only the prefix plane for every row and computes each row's block-0
+// sum S0. The truncated recombination T(S0) — 0.0 + s_0^2 * S0, then the
+// same sqrt, shave, subtractions, clamp and square, with the store's
+// largest residual r_max in place of r_x — is a lower bound on the row's
+// bound, in floating point, not just in exact arithmetic:
+//   * the full sum adds s_b^2 * S_b >= 0 terms after the same first term,
+//     and round-to-nearest addition of a non-negative term never shrinks a
+//     sum;
+//   * sqrt, the shave, the subtractions (r_x <= r_max), the clamp and the
+//     square are each monotone under correctly rounded arithmetic.
+// T is nondecreasing in S0, so PrefixSkipThreshold(query, cutoff) — the
+// least S0 with T(S0) >= cutoff — screens exactly: every row with
+// S0 >= threshold has LowerBound2 >= cutoff. The scan reads the tail and
+// the residual only of the rows below the threshold. A single-block store
+// (dim <= kBlockDim) has no tail to skip and never screens.
 
 #ifndef FUZZYDB_IMAGE_QUANTIZED_STORE_H_
 #define FUZZYDB_IMAGE_QUANTIZED_STORE_H_
 
+#include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -92,15 +124,21 @@ class QuantizedStore {
                                  std::span<const double> scales, int8_t* codes);
 
   /// Assembles a store from externally produced parts (the column-file
-  /// reader): per-block scales (already divided by kInt8CodeMax), per-row
-  /// exact residual norms, and row-major padded codes. The kernel is
-  /// re-resolved on this host — safe, because every kernel level computes
-  /// the same exact integer sums. Sizes must agree (codes = size *
-  /// PaddedDim(dim), scales = NumBlocks(dim), residuals = size).
+  /// reader): per-block scales (already divided by kInt8CodeMax) and
+  /// per-row exact residual norms, with every code zero; the reader then
+  /// fills the codes with StoreRowCodes. The kernel is re-resolved on this
+  /// host — safe, because every kernel level computes the same exact
+  /// integer sums. Sizes must agree (scales = NumBlocks(dim), residuals =
+  /// size).
   static QuantizedStore FromParts(size_t size, size_t dim,
                                   std::vector<double> scales,
-                                  std::vector<double> residuals,
-                                  AlignedArray<int8_t> codes);
+                                  std::vector<double> residuals);
+
+  /// Copies the row-major padded codes of rows [first, first + rows) —
+  /// codes.size() = rows * padded_dim() — into the store's split layout.
+  /// Lets a reader stream the codes in bounded chunks; not thread-safe
+  /// against concurrent scans.
+  void StoreRowCodes(size_t first, std::span<const int8_t> codes);
 
   /// Per-block scales (NumBlocks entries) — persistence accessor.
   std::span<const double> scales() const { return scales_; }
@@ -113,16 +151,22 @@ class QuantizedStore {
   /// dim rounded up to a whole number of blocks; the row stride in bytes.
   size_t padded_dim() const { return padded_; }
   size_t blocks() const { return blocks_; }
-  /// Bytes the level −1 scan reads per row: the padded codes plus the
-  /// stored residual norm.
+  /// Bytes the tier stores per row: the padded codes plus the residual
+  /// norm. An unscreened scan reads all of them.
   size_t row_bytes() const { return padded_ + sizeof(double); }
+  /// Bytes a screened scan reads for `rows` rows of which `full` passed the
+  /// screen: every row's prefix-plane codes, plus the tail codes and the
+  /// residual of each passing row.
+  size_t ScanBytes(size_t rows, size_t full) const {
+    return rows * kBlockDim + full * (row_bytes() - kBlockDim);
+  }
   double scale(size_t block) const { return scales_[block]; }
   /// Kernel level resolved at Build time (simd::Active() then).
   simd::Level kernel_level() const { return kernel_level_; }
 
-  std::span<const int8_t> RowCodes(size_t i) const {
-    return {codes_.data() + i * padded_, padded_};
-  }
+  /// Row i's padded codes, reassembled from the split layout into
+  /// `out` (padded_dim() entries).
+  void CopyRowCodes(size_t i, std::span<int8_t> out) const;
   /// |x_i - x~_i|_2 — row i's exact quantization residual norm.
   double row_residual(size_t i) const { return residuals_[i]; }
 
@@ -147,11 +191,32 @@ class QuantizedStore {
   /// LowerBounds2's one-row case: row i's bound.
   double LowerBound2(const EncodedQuery& query, size_t i) const;
 
+  /// A threshold that screens no row: every block-0 sum is below it.
+  static constexpr int32_t kNoScreen = std::numeric_limits<int32_t>::max();
+
+  /// The least block-0 sum S0 at which the truncated recombination (see
+  /// the file comment) reaches `cutoff`: every row with S0 >= the result
+  /// has LowerBound2 >= cutoff. kNoScreen when no S0 reaches it (a NaN or
+  /// infinite cutoff among them) or when the store has a single block, so
+  /// that a screen would read no fewer bytes.
+  int32_t PrefixSkipThreshold(const EncodedQuery& query, double cutoff) const;
+
+  /// The screened level −1 scan over rows [begin, begin + rows): reads
+  /// every row's block-0 codes and, for the rows whose block-0 sum is below
+  /// `threshold`, their tail codes and residuals. Writes those rows'
+  /// offsets from `begin`, ascending, to pass[] and their bounds —
+  /// LowerBound2's bits — to bounds[], and returns how many there are.
+  /// pass and bounds need room for `rows` entries.
+  size_t ScreenedBounds(const EncodedQuery& query, size_t begin, size_t rows,
+                        int32_t threshold, uint32_t* pass,
+                        double* bounds) const;
+
  private:
-  // Bounds of rows [first, first + rows) from their kernel block sums
-  // (row-major, blocks() per row) into out[0, rows).
-  void BoundsFromSums(const EncodedQuery& query, size_t first, size_t rows,
-                      const int32_t* sums, double* out) const;
+  // Codes per row in the tail: padded_ - kBlockDim.
+  size_t tail_dim() const { return padded_ - kBlockDim; }
+
+  // Sizes the planes and resolves the kernel for `size` rows of `dim`.
+  void Allocate(size_t size, size_t dim);
 
   size_t size_ = 0;
   size_t dim_ = 0;
@@ -162,7 +227,9 @@ class QuantizedStore {
   std::vector<double> scales_;     // per block
   std::vector<double> scales_sq_;  // s_b^2, the recombination coefficients
   std::vector<double> residuals_;  // per row
-  AlignedArray<int8_t> codes_;     // size_ * padded_, row-major
+  double max_residual_ = 0.0;      // r_max, the screen's residual
+  AlignedArray<int8_t> prefix_;    // size_ * kBlockDim: block 0 of each row
+  AlignedArray<int8_t> tail_;      // size_ * tail_dim(), row-major
 };
 
 }  // namespace fuzzydb

@@ -33,6 +33,9 @@ uint64_t Fnv1a64(const void* data, size_t size, uint64_t state) {
 
 namespace {
 
+// Bytes of int8 codes LoadQuantized reads per chunk.
+constexpr size_t kCodeChunkBytes = size_t{1} << 20;
+
 Status ErrnoStatus(const char* op, const std::string& path) {
   return Status::Internal(std::string(op) + " failed for " + path + ": " +
                           std::strerror(errno));
@@ -420,23 +423,35 @@ Result<QuantizedStore> ColumnFile::LoadQuantized() const {
   std::vector<double> scales(blocks);
   FUZZYDB_RETURN_NOT_OK(ReadAll(fd_, scales.data(), blocks * sizeof(double),
                                   qoff, "quantized scales"));
-  AlignedArray<int8_t> codes(header_.count * padded);
-  FUZZYDB_RETURN_NOT_OK(ReadAll(fd_, codes.data(), header_.count * padded,
-                                  codes_off, "quantized codes"));
+  uint64_t qsum = Fnv1a64(scales.data(), blocks * sizeof(double));
   std::vector<double> residuals(header_.count);
   FUZZYDB_RETURN_NOT_OK(ReadAll(fd_, residuals.data(),
                                   header_.count * sizeof(double),
                                   residuals_off, "quantized residuals"));
+  QuantizedStore store = QuantizedStore::FromParts(
+      header_.count, header_.dim, std::move(scales), std::move(residuals));
 
-  uint64_t qsum = Fnv1a64(scales.data(), blocks * sizeof(double));
-  qsum = Fnv1a64(codes.data(), header_.count * padded, qsum);
-  qsum = Fnv1a64(residuals.data(), header_.count * sizeof(double), qsum);
+  // The codes are row-major on disk and split in memory (prefix plane and
+  // tail, DESIGN §3g): stream them through one bounded chunk, so the load
+  // never holds a second full-size copy. The checksum chains in file order
+  // (Open has checked that count and dim are positive).
+  const size_t chunk_rows = std::max<size_t>(1, kCodeChunkBytes / padded);
+  std::vector<int8_t> chunk(std::min<size_t>(chunk_rows, header_.count) *
+                            padded);
+  for (size_t first = 0; first < header_.count; first += chunk_rows) {
+    const size_t bytes = std::min(chunk_rows, header_.count - first) * padded;
+    FUZZYDB_RETURN_NOT_OK(ReadAll(fd_, chunk.data(), bytes,
+                                    codes_off + first * padded,
+                                    "quantized codes"));
+    qsum = Fnv1a64(chunk.data(), bytes, qsum);
+    store.StoreRowCodes(first, {chunk.data(), bytes});
+  }
+  qsum = Fnv1a64(store.residuals().data(), header_.count * sizeof(double),
+                 qsum);
   if (qsum != header_.qsection_checksum) {
     return Status::DataLoss("quantized section checksum mismatch");
   }
-  return QuantizedStore::FromParts(header_.count, header_.dim,
-                                   std::move(scales), std::move(residuals),
-                                   std::move(codes));
+  return store;
 }
 
 }  // namespace storage

@@ -125,7 +125,20 @@ inline void ExpectWalkFieldsEqual(const CascadeStats& got,
   EXPECT_EQ(got.candidates_refined, want.candidates_refined);
   EXPECT_EQ(got.full_distance_computations, want.full_distance_computations);
   EXPECT_EQ(got.dims_accumulated, want.dims_accumulated);
-  EXPECT_EQ(got.bytes_scanned_quantized, want.bytes_scanned_quantized);
+  // The int8 scan reads a row's tail codes and residual only when its
+  // block-0 screen passes the row, and how many pass (quantized_full_bounds)
+  // follows the window's cutoffs, not the walk: the exact byte formula,
+  // QuantizedStore::ScanBytes, with the oracle's unscreened bytes per row.
+  if (want.quantized_bound_computations == 0) {
+    EXPECT_EQ(got.bytes_scanned_quantized, 0u);
+  } else {
+    const size_t row_bytes =
+        want.bytes_scanned_quantized / want.quantized_bound_computations;
+    EXPECT_EQ(got.bytes_scanned_quantized,
+              got.quantized_bound_computations * QuantizedStore::kBlockDim +
+                  got.quantized_full_bounds *
+                      (row_bytes - QuantizedStore::kBlockDim));
+  }
   EXPECT_EQ(got.bytes_scanned_prefix, want.bytes_scanned_prefix);
   EXPECT_EQ(got.bytes_scanned_refine, want.bytes_scanned_refine);
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -435,5 +436,43 @@ TEST(CascadeSelectionTest, StreamingWindowRefillsAndKeepsFullSortWalk) {
   }
 }
 
+
+// The int8 level -1 with its block-0 screen engaged: n well past 2W, so
+// every shard's window cuts and the screen then skips rows, at a small k
+// and at k > 2W (whose refills start under a ceiling, screening from their
+// first row). The screen skips only rows Offer would skip, so the walk is
+// the full sort's.
+TEST(CascadeSelectionTest, PrefixScreenKeepsFullSortWalk) {
+  constexpr size_t kN = 20000;
+  constexpr size_t kDim = 64;
+  const std::vector<std::vector<double>> rows =
+      testing_oracle::SelectionRows("random", kN, kDim, 2031);
+  EmbeddingStore store(kN, kDim);
+  for (size_t i = 0; i < kN; ++i) {
+    std::copy(rows[i].begin(), rows[i].end(), store.MutableRow(i).begin());
+  }
+  store.BuildQuantized();
+  const auto row = [&store](size_t i) { return store.Row(i).data(); };
+  Rng rng(97);
+  for (size_t k : {size_t{10}, size_t{2500}}) {
+    std::vector<double> target = rows[rng.NextBounded(kN)];
+    for (double& x : target) x += 0.05 * rng.NextGaussian();
+    const std::vector<std::pair<size_t, double>> exact =
+        store.ExactKnn(target, k);
+    for (size_t shards : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " shards=" + std::to_string(shards));
+      CascadeOptions options;
+      CascadeStats stats;
+      ASSERT_EQ(store.CascadeKnn(target, k, options, &stats, nullptr, shards),
+                exact);
+      testing_oracle::ExpectStreamingStats(stats, row, kN, target, k, options,
+                                           &store.quantized(), shards);
+      EXPECT_LE(stats.candidates_refined, stats.quantized_full_bounds);
+      EXPECT_LT(stats.quantized_full_bounds,
+                stats.quantized_bound_computations);
+    }
+  }
+}
 }  // namespace
 }  // namespace fuzzydb

@@ -293,5 +293,29 @@ TEST_F(ParallelKernelTest, GeneratedStoreExposesTunedCascade) {
                   store->embeddings().ExactKnn(target, 5), "store tuned");
 }
 
+
+TEST(CascadeTunerCostTest, ChargesLevelMinusOneForTheDimsItRead) {
+  // Level -1 reads block 0 of every scanned row and the other dim - 16
+  // dims only of the rows its prefix screen passed.
+  CascadeStats stats;
+  stats.quantized_bound_computations = 1000;
+  stats.quantized_full_bounds = 50;
+  const double q = CascadeTuner::kQuantizedDimCost;
+  EXPECT_DOUBLE_EQ(CascadeTuner::Cost(stats, 8, 64, 4.0, 1),
+                   (1000.0 * 16 + 50.0 * 48) * q);
+  EXPECT_DOUBLE_EQ(CascadeTuner::Cost(stats, 8, 64, 4.0, 2),
+                   (1000.0 * 16 + 50.0 * 48) * q / 2);
+  // A screen that passes every row costs the unscreened n * dim.
+  stats.quantized_full_bounds = 1000;
+  EXPECT_DOUBLE_EQ(CascadeTuner::Cost(stats, 8, 64, 4.0, 1), 1000.0 * 64 * q);
+  // dim <= 16 never screens: still n * dim, with no tail to charge.
+  EXPECT_DOUBLE_EQ(CascadeTuner::Cost(stats, 8, 10, 4.0, 1), 1000.0 * 10 * q);
+  // The other levels keep their charges.
+  stats.bound_computations = 30;
+  stats.dims_accumulated = 700;
+  stats.candidates_refined = 20;
+  EXPECT_DOUBLE_EQ(CascadeTuner::Cost(stats, 8, 64, 4.0, 1),
+                   1000.0 * 64 * q + 30.0 * 8 + 700.0 + 4.0 * 20);
+}
 }  // namespace
 }  // namespace fuzzydb

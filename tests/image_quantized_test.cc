@@ -13,7 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <thread>
 
 #include "common/squared_distance.h"
@@ -91,8 +93,9 @@ TEST(QuantizedStoreTest, StoredCodesNeverClampAndResidualsAreExact) {
   EmbeddingStore store =
       *EmbeddingStore::Build(qfd, RandomDatabase(&rng, 40, 27));
   const QuantizedStore& qs = store.quantized();
+  std::vector<int8_t> codes(qs.padded_dim());
   for (size_t i = 0; i < qs.size(); ++i) {
-    std::span<const int8_t> codes = qs.RowCodes(i);
+    qs.CopyRowCodes(i, codes);
     double residual_sq = 0.0;
     for (size_t j = 0; j < qs.dim(); ++j) {
       ASSERT_GE(codes[j], -simd::kInt8CodeMax);
@@ -168,9 +171,10 @@ TEST(QuantizedStoreTest, AdversarialScaleBlockStaysAdmissible) {
 double ReferenceBound2(const QuantizedStore& qs,
                        const QuantizedStore::EncodedQuery& query, size_t i) {
   std::vector<int32_t> sums(qs.blocks());
+  std::vector<int8_t> codes(qs.padded_dim());
+  qs.CopyRowCodes(i, codes);
   simd::ResolveBlockSsd(simd::Level::kScalar)(
-      qs.RowCodes(i).data(), query.codes.data(), qs.padded_dim(),
-      sums.data());
+      codes.data(), query.codes.data(), qs.padded_dim(), sums.data());
   double dq2 = 0.0;
   for (size_t b = 0; b < qs.blocks(); ++b) {
     dq2 += qs.scale(b) * qs.scale(b) * static_cast<double>(sums[b]);
@@ -226,6 +230,125 @@ TEST(QuantizedStoreTest, BatchedBoundsMatchPerRowBoundsBitForBit) {
   }
 }
 
+// Row i's block-0 sum, from the portable scalar kernel.
+int32_t ReferenceBlock0Sum(const QuantizedStore& qs,
+                           const QuantizedStore::EncodedQuery& query,
+                           size_t i) {
+  std::vector<int8_t> codes(qs.padded_dim());
+  qs.CopyRowCodes(i, codes);
+  int32_t sum;
+  simd::ResolveBlockSsd(simd::Level::kScalar)(
+      codes.data(), query.codes.data(), QuantizedStore::kBlockDim, &sum);
+  return sum;
+}
+
+// The screen's truncated recombination at block-0 sum s0: block 0 alone,
+// with the store's largest residual in place of the row's.
+double ReferenceTruncatedBound2(const QuantizedStore& qs,
+                                const QuantizedStore::EncodedQuery& query,
+                                int32_t s0) {
+  const double r_max =
+      *std::max_element(qs.residuals().begin(), qs.residuals().end());
+  double dq2 = 0.0;
+  dq2 += qs.scale(0) * qs.scale(0) * static_cast<double>(s0);
+  const double bound = std::sqrt(dq2) * (1.0 - 1e-9) - r_max - query.residual;
+  return bound <= 0.0 ? 0.0 : bound * bound;
+}
+
+TEST(QuantizedStoreTest, PrefixScreenIsExactAndTight) {
+  // At the active kernel level (the simd verify leg forces each one): for
+  // every cutoff, every row whose block-0 sum reaches the threshold has a
+  // bound at or above the cutoff (the screen never drops a row Offer would
+  // keep), the threshold is the least such sum, and ScreenedBounds passes
+  // exactly the rows below it with LowerBound2's bits. A single-block store
+  // has no tail to skip, so it never screens.
+  Rng rng(6053);
+  constexpr size_t kRows = 1001;
+  for (size_t dim : {16u, 48u, 64u, 72u}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    std::vector<double> rows(kRows * dim);
+    for (size_t i = 0; i < kRows; ++i) {
+      double scale = 1.0;
+      for (size_t j = 0; j < dim; ++j, scale *= 0.9) {
+        rows[i * dim + j] = scale * rng.NextGaussian();
+      }
+    }
+    const QuantizedStore qs =
+        QuantizedStore::Build(rows.data(), kRows, dim, dim);
+    std::vector<std::vector<double>> targets;
+    targets.emplace_back(rows.begin(), rows.begin() + dim);  // row 0
+    targets.emplace_back(dim);
+    for (double& x : targets.back()) x = rng.NextGaussian();
+    targets.emplace_back(dim);
+    for (double& x : targets.back()) x = 40.0 * rng.NextGaussian();
+    size_t partial_screens = 0;
+    for (const std::vector<double>& target : targets) {
+      const QuantizedStore::EncodedQuery query = qs.EncodeQuery(target);
+      std::vector<double> bound(kRows);
+      std::vector<int32_t> s0(kRows);
+      for (size_t i = 0; i < kRows; ++i) {
+        bound[i] = qs.LowerBound2(query, i);
+        s0[i] = ReferenceBlock0Sum(qs, query, i);
+      }
+      std::vector<double> cutoffs = {0.0,
+                                     std::numeric_limits<double>::infinity(),
+                                     std::numeric_limits<double>::quiet_NaN()};
+      for (size_t i : {0u, 17u, 500u, 1000u}) cutoffs.push_back(bound[i]);
+      const double top = *std::max_element(bound.begin(), bound.end());
+      for (int c = 0; c < 8; ++c) cutoffs.push_back(top * rng.NextDouble());
+      for (double cutoff : cutoffs) {
+        SCOPED_TRACE("cutoff " + std::to_string(cutoff));
+        const int32_t threshold = qs.PrefixSkipThreshold(query, cutoff);
+        if (dim == QuantizedStore::kBlockDim || std::isnan(cutoff) ||
+            std::isinf(cutoff)) {
+          EXPECT_EQ(threshold, QuantizedStore::kNoScreen);
+        }
+        if (cutoff == 0.0 && dim > QuantizedStore::kBlockDim) {
+          EXPECT_EQ(threshold, 0);  // every bound is >= 0
+        }
+        std::vector<uint32_t> want_pass;
+        for (size_t i = 0; i < kRows; ++i) {
+          if (s0[i] >= threshold) {
+            ASSERT_GE(bound[i], cutoff) << "row " << i << " s0 " << s0[i]
+                                        << " threshold " << threshold;
+          } else {
+            want_pass.push_back(static_cast<uint32_t>(i));
+          }
+        }
+        if (threshold != QuantizedStore::kNoScreen) {
+          EXPECT_GE(ReferenceTruncatedBound2(qs, query, threshold), cutoff);
+          if (threshold > 0) {
+            EXPECT_LT(ReferenceTruncatedBound2(qs, query, threshold - 1),
+                      cutoff);
+          }
+        }
+        if (!want_pass.empty() && want_pass.size() < kRows) ++partial_screens;
+        // ScreenedBounds at offsets off the kernels' strides.
+        for (size_t begin : {0u, 3u, 257u}) {
+          const size_t count = kRows - begin;
+          std::vector<uint32_t> pass(count);
+          std::vector<double> got(count);
+          const size_t passed = qs.ScreenedBounds(query, begin, count,
+                                                  threshold, pass.data(),
+                                                  got.data());
+          std::vector<uint32_t> want;
+          for (uint32_t i : want_pass) {
+            if (i >= begin) want.push_back(static_cast<uint32_t>(i - begin));
+          }
+          ASSERT_EQ(passed, want.size()) << "begin " << begin;
+          for (size_t j = 0; j < passed; ++j) {
+            ASSERT_EQ(pass[j], want[j]) << "begin " << begin;
+            ASSERT_EQ(got[j], bound[begin + pass[j]]) << "begin " << begin;
+          }
+        }
+      }
+    }
+    if (dim > QuantizedStore::kBlockDim) {
+      EXPECT_GT(partial_screens, 0u);  // the sweep did screen some rows
+    }
+  }
+}
+
 class QuantizedCascadeTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -262,7 +385,10 @@ TEST_F(QuantizedCascadeTest, GoldenBitIdenticalAcrossShardCountsAndOptions) {
               "int8 cascade shards=" + std::to_string(shards));
           EXPECT_EQ(stats.quantized_bound_computations, store_.size());
           EXPECT_EQ(stats.bytes_scanned_quantized,
-                    store_.size() * store_.quantized().row_bytes());
+                    store_.size() * QuantizedStore::kBlockDim +
+                        stats.quantized_full_bounds *
+                            (store_.quantized().row_bytes() -
+                             QuantizedStore::kBlockDim));
         }
       }
     }

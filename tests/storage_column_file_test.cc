@@ -122,10 +122,13 @@ TEST(ColumnFileTest, PersistedQuantizedTierEqualsRebuilt) {
   EXPECT_EQ(0,
             std::memcmp(loaded->residuals().data(), rebuilt.residuals().data(),
                         rebuilt.residuals().size() * sizeof(double)));
+  std::vector<int8_t> loaded_codes(rebuilt.padded_dim());
+  std::vector<int8_t> rebuilt_codes(rebuilt.padded_dim());
   for (size_t i = 0; i < rebuilt.size(); ++i) {
-    ASSERT_EQ(0, std::memcmp(loaded->RowCodes(i).data(),
-                             rebuilt.RowCodes(i).data(),
-                             rebuilt.RowCodes(i).size()))
+    loaded->CopyRowCodes(i, loaded_codes);
+    rebuilt.CopyRowCodes(i, rebuilt_codes);
+    ASSERT_EQ(0, std::memcmp(loaded_codes.data(), rebuilt_codes.data(),
+                             rebuilt_codes.size()))
         << "codes of row " << i;
   }
   std::remove(path.c_str());

@@ -13,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -359,6 +362,154 @@ TEST(PagedStoreTest, StreamingWindowRefillsAndKeepsFullSortWalk) {
   }
 }
 
+
+TEST(PagedStoreTest, PrefixScreenKeepsFullSortWalk) {
+  // The RAM store's screened sweep behind a pool smaller than the file:
+  // n well past 2W, k = 10 and k > 2W, shards 1 and 3.
+  constexpr size_t kN = 20000;
+  constexpr size_t kDim = 64;
+  const std::string path = TestPath("screen");
+  const std::vector<std::vector<double>> rows =
+      testing_oracle::SelectionRows("random", kN, kDim, 2031);
+  {
+    Result<std::unique_ptr<ColumnFileWriter>> writer =
+        ColumnFileWriter::Create(path, kDim);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const std::vector<double>& row : rows) {
+      ASSERT_TRUE((*writer)->AppendRow(row).ok());
+    }
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  PagedStoreOptions store_options;
+  store_options.pool_bytes = 1ull << 20;
+  Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+      PagedEmbeddingStore::Open(path, store_options);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  Result<EmbeddingStore> ram = (*paged)->LoadToMemory();
+  ASSERT_TRUE(ram.ok());
+  const auto row = [&ram](size_t i) { return ram->Row(i).data(); };
+  Rng rng(97);
+  for (size_t k : {size_t{10}, size_t{2500}}) {
+    std::vector<double> target = rows[rng.NextBounded(kN)];
+    for (double& x : target) x += 0.05 * rng.NextGaussian();
+    const std::vector<std::pair<size_t, double>> exact =
+        ram->ExactKnn(target, k);
+    for (size_t shards : {size_t{1}, size_t{3}}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " shards=" + std::to_string(shards));
+      CascadeOptions options;
+      CascadeStats stats;
+      Result<std::vector<std::pair<size_t, double>>> got =
+          (*paged)->CascadeKnn(target, k, options, &stats, nullptr, shards);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_EQ(*got, exact);
+      testing_oracle::ExpectStreamingStats(stats, row, kN, target, k, options,
+                                           &ram->quantized(), shards);
+      EXPECT_LE(stats.candidates_refined, stats.quantized_full_bounds);
+      EXPECT_LT(stats.quantized_full_bounds,
+                stats.quantized_bound_computations);
+    }
+  }
+  (*paged)->Close();
+  std::remove(path.c_str());
+}
+
+TEST(PagedStoreTest, AuditCatchesADivergingScreen) {
+  // A RAM store whose int8 tier differs from the file's only in one far
+  // row's residual: the row's values move within their quantization cells
+  // (same codes, same scales), which raises the largest residual and so
+  // weakens the RAM store's block-0 screen. The two walks stay equal —
+  // the row is never a candidate — so only the screen's counters can tell
+  // the stores apart, and the audit must.
+  constexpr size_t kN = 20000;
+  constexpr size_t kDim = 32;
+  const std::string path = TestPath("screen_audit");
+  const std::vector<std::vector<double>> rows =
+      testing_oracle::SelectionRows("random", kN, kDim, 2033);
+  {
+    Result<std::unique_ptr<ColumnFileWriter>> writer =
+        ColumnFileWriter::Create(path, kDim);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const std::vector<double>& row : rows) {
+      ASSERT_TRUE((*writer)->AppendRow(row).ok());
+    }
+    ASSERT_TRUE((*writer)->Finish().ok());
+  }
+  Result<std::unique_ptr<PagedEmbeddingStore>> paged =
+      PagedEmbeddingStore::Open(path);
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+  const QuantizedStore& qs = (*paged)->quantized();
+
+  std::vector<double> target = rows[0];
+  Rng rng(99);
+  for (double& x : target) x += 0.05 * rng.NextGaussian();
+  // The farthest row that holds no block's largest magnitude, so moving
+  // its values toward their codes' cell edges keeps every scale.
+  std::vector<double> block_max(QuantizedStore::NumBlocks(kDim), 0.0);
+  for (const std::vector<double>& row : rows) {
+    for (size_t j = 0; j < kDim; ++j) {
+      double& m = block_max[j / QuantizedStore::kBlockDim];
+      m = std::max(m, std::fabs(row[j]));
+    }
+  }
+  size_t far = 0;
+  double far_d2 = -1.0;
+  for (size_t i = 0; i < kN; ++i) {
+    bool holds_max = false;
+    double d2 = 0.0;
+    for (size_t j = 0; j < kDim; ++j) {
+      holds_max |= std::fabs(rows[i][j]) ==
+                   block_max[j / QuantizedStore::kBlockDim];
+      d2 += (rows[i][j] - target[j]) * (rows[i][j] - target[j]);
+    }
+    if (!holds_max && d2 > far_d2) {
+      far = i;
+      far_d2 = d2;
+    }
+  }
+  std::vector<int8_t> codes(qs.padded_dim());
+  qs.CopyRowCodes(far, codes);
+  EmbeddingStore ram(kN, kDim);
+  for (size_t i = 0; i < kN; ++i) {
+    std::copy(rows[i].begin(), rows[i].end(), ram.MutableRow(i).begin());
+  }
+  for (size_t j = 0; j < kDim; ++j) {
+    const double s = qs.scale(j / QuantizedStore::kBlockDim);
+    const double q = codes[j];
+    const double edge = q > 0 ? q - 0.49 : q < 0 ? q + 0.49 : 0.49;
+    ram.MutableRow(far)[j] = edge * s;
+  }
+  ram.BuildQuantized();
+  std::vector<int8_t> ram_codes(qs.padded_dim());
+  ram.quantized().CopyRowCodes(far, ram_codes);
+  ASSERT_EQ(ram_codes, codes);
+  const auto largest = [](std::span<const double> v) {
+    return *std::max_element(v.begin(), v.end());
+  };
+  ASSERT_GT(largest(ram.quantized().residuals()), largest(qs.residuals()));
+
+  CascadeStats ram_stats;
+  CascadeStats paged_stats;
+  Result<std::vector<std::pair<size_t, double>>> paged_knn =
+      (*paged)->CascadeKnn(target, 10, {}, &paged_stats);
+  ASSERT_TRUE(paged_knn.ok()) << paged_knn.status().ToString();
+  ASSERT_EQ(ram.CascadeKnn(target, 10, {}, &ram_stats), *paged_knn);
+  EXPECT_EQ(ram_stats.candidates_refined, paged_stats.candidates_refined);
+  EXPECT_EQ(ram_stats.dims_accumulated, paged_stats.dims_accumulated);
+  EXPECT_NE(ram_stats.quantized_full_bounds,
+            paged_stats.quantized_full_bounds);
+
+  StorageAuditOptions audit;
+  audit.targets = {target};
+  const AuditReport report = AuditPagingEquivalence(**paged, ram, audit);
+  bool caught = false;
+  for (const AuditFinding& finding : report.findings()) {
+    caught |= finding.contract == "cascade-work";
+  }
+  EXPECT_TRUE(caught) << report.ToString();
+  (*paged)->Close();
+  std::remove(path.c_str());
+}
 }  // namespace
 }  // namespace storage
 }  // namespace fuzzydb
